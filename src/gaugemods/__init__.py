@@ -2,7 +2,8 @@
 their gauge modules, with a verification CLI.
 
 The layers, bottom up: sparse rational polynomials and monomial orders
-(``polyring``); Groebner bases, quotient rings, and localizations
+(``polyring``); cofactor determinants and elimination over QQ
+(``linalg``); Groebner bases, quotient rings, and localizations
 (``groebner``); varieties, charts, and tangent frames (``variety``);
 gl_N modules and central elements (``glrep``); the gauge-module action
 (``gauge``); the de Rham complex (``derham``); the explicit circle
@@ -33,9 +34,7 @@ from .groebner import (
     buchberger,
     is_member,
     is_unit_ideal,
-    loc_arith,
     loc_partial,
-    normal_form,
     s_polynomial,
 )
 from .variety import (
@@ -93,7 +92,6 @@ from .derham import (
 from .circle import (
     CircleElement,
     IndexWindowError,
-    OperatorWord,
     act_e,
     annihilator_q,
     annihilator_s,

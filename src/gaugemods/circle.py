@@ -23,8 +23,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import gauge as gauge_mod
-from .glrep import GlModule, identity, mat_scale
+from .glrep import GlModule, UEAElement, identity, mat_scale
 from .groebner import LocalizedElement
+from .linalg import rank
 from .variety import Chart, Variety, circle_variety
 
 Key = tuple[str, int]  # ("v" | "u", index)
@@ -134,61 +135,7 @@ def act_e(n: int, x: CircleElement) -> CircleElement:
     return CircleElement(alpha, out, x.window)
 
 
-class OperatorWord:
-    """A formal sum of words in the e_n generators, plus scalars.
-
-    A word is a tuple of generator indices in reading order; the
-    rightmost factor is applied first.  The empty word is the scalar 1.
-    """
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: Mapping[tuple[int, ...], Fraction]):
-        self.words: dict[tuple[int, ...], Fraction] = {
-            w: Fraction(c) for w, c in words.items() if c
-        }
-
-    @classmethod
-    def e(cls, n: int) -> "OperatorWord":
-        return cls({(n,): Fraction(1)})
-
-    @classmethod
-    def scalar(cls, c: Fraction | int) -> "OperatorWord":
-        return cls({(): Fraction(c)})
-
-    def __add__(self, other: "OperatorWord") -> "OperatorWord":
-        out = dict(self.words)
-        for w, c in other.words.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return OperatorWord(out)
-
-    def __sub__(self, other: "OperatorWord") -> "OperatorWord":
-        return self + other.scale(-1)
-
-    def scale(self, c: Fraction | int) -> "OperatorWord":
-        return OperatorWord({w: c * v for w, v in self.words.items()})
-
-    def __mul__(self, other: "OperatorWord") -> "OperatorWord":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for wa, ca in self.words.items():
-            for wb, cb in other.words.items():
-                w = wa + wb
-                s = out.get(w, 0) + ca * cb
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        return OperatorWord(out)
-
-    def __repr__(self) -> str:
-        return f"OperatorWord({self.words})"
-
-
-def apply_word(w: OperatorWord, x: CircleElement) -> CircleElement:
+def apply_word(w: UEAElement, x: CircleElement) -> CircleElement:
     """Apply a word sum, rightmost generator first; scalars multiply."""
     total = CircleElement(x.alpha, {}, x.window)
     for word, coeff in w.words.items():
@@ -201,32 +148,32 @@ def apply_word(w: OperatorWord, x: CircleElement) -> CircleElement:
 
 # -- distinguished operators ---------------------------------------------------
 
-def sl2_casimir() -> OperatorWord:
+def sl2_casimir() -> UEAElement:
     """C = e_0^2 + e_0 - e_{-1} e_1; acts on N(alpha) by alpha*(alpha-1)."""
-    e0, e1, em1 = OperatorWord.e(0), OperatorWord.e(1), OperatorWord.e(-1)
+    e0, e1, em1 = (UEAElement.generator(n) for n in (0, 1, -1))
     return e0 * e0 + e0 - em1 * e1
 
 
-def annihilator_s() -> OperatorWord:
+def annihilator_s() -> UEAElement:
     """s = e_{-1} e_0 - 1; annihilates v_0 at alpha = 0."""
-    return OperatorWord.e(-1) * OperatorWord.e(0) - OperatorWord.scalar(1)
+    return UEAElement.generator(-1) * UEAElement.generator(0) - UEAElement.scalar(1)
 
 
-def annihilator_q(alpha: Fraction | int) -> OperatorWord:
+def annihilator_q(alpha: Fraction | int) -> UEAElement:
     """q = e_{-1} e_0^2 - (e_0 + 1 - alpha); annihilates v_0 for every alpha."""
-    e0, em1 = OperatorWord.e(0), OperatorWord.e(-1)
-    return em1 * e0 * e0 - e0 - OperatorWord.scalar(1 - Fraction(alpha))
+    e0, em1 = UEAElement.generator(0), UEAElement.generator(-1)
+    return em1 * e0 * e0 - e0 - UEAElement.scalar(1 - Fraction(alpha))
 
 
-def operator_p(alpha: Fraction | int) -> OperatorWord:
+def operator_p(alpha: Fraction | int) -> UEAElement:
     """p = e_1 - e_0^2 (e_0 + 1 - alpha).
 
     Under the implemented action p.v_0 evaluates to 2*(alpha-1)*v_1,
     which is nonzero away from alpha = 1; the value is computed and
     reported rather than asserted to vanish.
     """
-    e0, e1 = OperatorWord.e(0), OperatorWord.e(1)
-    return e1 - e0 * e0 * (e0 + OperatorWord.scalar(1 - Fraction(alpha)))
+    e0, e1 = UEAElement.generator(0), UEAElement.generator(1)
+    return e1 - e0 * e0 * (e0 + UEAElement.scalar(1 - Fraction(alpha)))
 
 
 def p_value_on_v0(alpha: Fraction | int, window: int = DEFAULT_WINDOW) -> CircleElement:
@@ -320,25 +267,8 @@ def basis_leading_terms(depth: int, window: int = DEFAULT_WINDOW) -> BasisReport
     for r, v in enumerate(family):
         for key, c in v.terms.items():
             matrix[r][col[key]] = c
-    independent = _rank(matrix) == len(family)
+    independent = rank(matrix) == len(family)
     return BasisReport(depth, leading, lowest, labels_match, independent)
-
-
-def _rank(matrix: list[list[Fraction]]) -> int:
-    m = [row[:] for row in matrix]
-    rank = 0
-    for c in range(len(m[0]) if m else 0):
-        pivot = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][c]
-        for r in range(len(m)):
-            if r != rank and m[r][c] != 0:
-                f = m[r][c] / pv
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
 
 
 # -- gauge-module realization ----------------------------------------------------

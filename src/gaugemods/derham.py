@@ -15,13 +15,13 @@ linear algebra up to a stated polynomial degree bound.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .gauge import CheckResult
 from .groebner import LocalizedElement
+from .linalg import solve as _solve_exact
 from .polyring import Polynomial, PolyRing
 from .variety import Chart
 
@@ -284,34 +284,3 @@ def _exponents_of_degree(n: int, deg: int) -> list[tuple[int, ...]]:
         for rest in _exponents_of_degree(n - 1, deg - first):
             out.append((first,) + rest)
     return out
-
-
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination over QQ; None if the system is inconsistent."""
-    m = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    nrows = len(m)
-    ncols = len(matrix[0]) if matrix else 0
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
-            return None
-    solution = [Fraction(0)] * ncols
-    for row, c in pivots:
-        solution[c] = m[row][ncols]
-    return solution

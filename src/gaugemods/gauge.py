@@ -74,21 +74,6 @@ class GaugeField:
                               for i in range(dim)))
         return cls(chart, tuple(mats))
 
-    def is_scalar(self) -> tuple[LocalizedElement, ...] | None:
-        """The diagonal values if every B_i is a scalar matrix, else None."""
-        out = []
-        for m in self.matrices:
-            v = m[0][0]
-            for i, row in enumerate(m):
-                for j, entry in enumerate(row):
-                    if i == j:
-                        if not (entry == v):
-                            return None
-                    elif not entry.is_zero():
-                        return None
-            out.append(v)
-        return tuple(out)
-
     def apply(self, i: int, column: int) -> list[tuple[int, LocalizedElement]]:
         """Nonzero entries of B_i applied to the basis vector ``column``."""
         return [(r, self.matrices[i][r][column])

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -208,11 +208,16 @@ def symmetric_square(N: int) -> GlModule:
 
 # -- enveloping-algebra word sums ---------------------------------------------
 
-Word = tuple[tuple[int, int], ...]
+Word = tuple[Hashable, ...]
 
 
 class UEAElement:
-    """A finite rational combination of words in the symbols E_ij."""
+    """A finite rational combination of words in hashable symbols.
+
+    The symbol (i, j) stands for E_ij of gl_N (see ``evaluate``); the
+    circle modules use the integer n for the Witt generator e_n.  A
+    word is read left to right; the empty word is the scalar 1.
+    """
 
     __slots__ = ("words",)
 
@@ -220,8 +225,8 @@ class UEAElement:
         self.words: dict[Word, Fraction] = {w: c for w, c in words.items() if c != 0}
 
     @classmethod
-    def generator(cls, i: int, j: int) -> "UEAElement":
-        return cls({((i, j),): Fraction(1)})
+    def generator(cls, symbol: Hashable) -> "UEAElement":
+        return cls({(symbol,): Fraction(1)})
 
     @classmethod
     def scalar(cls, c: Fraction | int) -> "UEAElement":

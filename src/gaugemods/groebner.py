@@ -211,11 +211,6 @@ def _reduce_basis(basis: list[Polynomial], key) -> list[Polynomial]:
     return reduced
 
 
-def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    """Remainder of p modulo the basis; zero iff p lies in the ideal."""
-    return gb.reduce(p)
-
-
 def is_member(p: Polynomial, ideal: Ideal, order: MonomialOrder | None = None) -> bool:
     return buchberger(ideal, order).contains(p)
 
@@ -435,15 +430,6 @@ class LocalizedElement:
 
     def __repr__(self) -> str:
         return f"LocalizedElement({self})"
-
-
-def loc_arith(a: LocalizedElement, b: LocalizedElement, op: str) -> LocalizedElement:
-    """Localized arithmetic by operator name: '+' or '*'."""
-    if op == "+":
-        return a + b
-    if op == "*":
-        return a * b
-    raise ValueError(f"unsupported operator {op!r}")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ Grammar (standard precedence, ``^`` strongest, unary minus in between):
 
 ``NUMBER`` is an integer or a rational literal ``a/b``; ``/`` is only
 valid between integer literals.  Variable names must belong to the
-target ring.  Errors carry the offending position in the input.
+target ring, and an exponent above its degree cap raises
+``DegreeOverflowError``.  Errors carry the offending position in the input.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .polyring import Polynomial, PolyRing
+from .polyring import DegreeOverflowError, Polynomial, PolyRing
 
 
 class ParseError(ValueError):
@@ -121,6 +122,10 @@ class _Parser:
             if self.tok.kind != "int":
                 raise ParseError("exponent must be an integer literal", self.tok.pos)
             exponent = int(self.advance().text)
+            if exponent > self.ring.degree_cap:
+                # bounds constant powers too, whose coefficients the cap misses
+                raise DegreeOverflowError(
+                    f"exponent {exponent} exceeds the ring cap {self.ring.degree_cap}")
             return base ** exponent
         return base
 

@@ -109,19 +109,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def coefficient(self, exps: Exponents) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
 
 from .groebner import Localization, LocalizedElement
 from .polyring import Polynomial, PolyRing
@@ -34,14 +33,6 @@ def polynomial(rng: random.Random, ring: PolyRing, max_degree: int = 2,
     return p
 
 
-def nonzero_polynomial(rng: random.Random, ring: PolyRing, max_degree: int = 2,
-                       max_terms: int = 3) -> Polynomial:
-    while True:
-        p = polynomial(rng, ring, max_degree, max_terms)
-        if not p.is_zero():
-            return p
-
-
 def localized(rng: random.Random, loc: Localization, max_degree: int = 2,
               max_terms: int = 2, max_hpower: int = 1) -> LocalizedElement:
     p = polynomial(rng, loc.qring.ring, max_degree, max_terms)
@@ -54,7 +45,3 @@ def chart_field(rng: random.Random, chart: Chart, max_degree: int = 2,
     loc = chart.localization
     return [localized(rng, loc, max_degree, max_terms, max_hpower)
             for _ in chart.parameters]
-
-
-def support_sample(rng: random.Random, size: int, count: int) -> list[int]:
-    return rng.sample(range(size), min(count, size))

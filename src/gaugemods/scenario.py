@@ -656,6 +656,10 @@ def run_scenario(scn: dict, seed: int | None = None, samples: int | None = None,
         scn["samples"] = samples
     if max_degree is not None:
         scn["maxDegree"] = max_degree
+    # the ranges are checked here so that overrides and file values share one path
+    for key, low in (("samples", 1), ("grid", 0), ("maxDegree", 0), ("N", 1)):
+        if isinstance(scn.get(key), int) and scn[key] < low:
+            raise ScenarioError(f"scenario.{key}: expected at least {low}, got {scn[key]}")
 
     records: list[dict] = []
     if scn.get("checks") != []:

@@ -27,6 +27,7 @@ from .groebner import (
     buchberger,
     is_unit_ideal,
 )
+from .linalg import det
 from .polyring import MonomialOrder, Polynomial, PolyRing, grevlex, leading_term
 
 
@@ -71,7 +72,9 @@ class Variety:
     # -- Jacobian ---------------------------------------------------------
 
     def _jacobian_rank(self) -> int:
-        """Rank over Frac(A) by fraction-free elimination; zero tests in A."""
+        """Rank over Frac(A) by fraction-free elimination; zero tests in A.
+
+        Not in ``linalg``: A = QQ[x]/I has no division, which Bareiss needs."""
         rows = [[self.qring.element(p) for p in row] for row in self.jacobian]
         rank = 0
         ncols = self.ring.nvars
@@ -95,9 +98,6 @@ class Variety:
                 break
         return rank
 
-    def jacobian_rank(self) -> int:
-        return self.rank
-
     # -- charts -----------------------------------------------------------
 
     @property
@@ -106,28 +106,14 @@ class Variety:
             self._charts = self._enumerate_charts()
         return self._charts
 
-    def _minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
-        if not rows:
-            return self.ring.one()
-        if len(rows) == 1:
-            return self.jacobian[rows[0]][cols[0]]
-        total = self.ring.zero()
-        r0 = rows[0]
-        for j, c in enumerate(cols):
-            entry = self.jacobian[r0][c]
-            if entry.is_zero():
-                continue
-            sub = self._minor(rows[1:], cols[:j] + cols[j + 1:])
-            total = total + entry * sub * ((-1) ** j)
-        return total
-
     def _enumerate_charts(self) -> tuple["Chart", ...]:
         r = self.rank
         found: list[Chart] = []
         seen: set[tuple[tuple[int, ...], Polynomial]] = set()
         for rows in itertools.combinations(range(len(self.generators)), r):
             for cols in itertools.combinations(range(self.ring.nvars), r):
-                minor = self.qring.element(self._minor(rows, cols))
+                minor = self.qring.element(
+                    det(self.ring, [[self.jacobian[i][j] for j in cols] for i in rows]))
                 if minor.is_zero():
                     continue
                 lead_coeff = leading_term(minor.rep, self.order)[1]
@@ -284,9 +270,8 @@ def solve_tau(v: Variety, chart: Chart) -> TangentFrame:
         for jpos, col in enumerate(chart.cols):
             # Cramer: determinant with column jpos replaced by rhs
             replaced = [row[:jpos] + [rhs[i]] + row[jpos + 1:] for i, row in enumerate(sub)]
-            det = _det(ring, replaced)
             # divide by the raw minor = lead_coeff * h
-            num = v.qring.element(det * (1 / lead_coeff))
+            num = v.qring.element(det(ring, replaced) * (1 / lead_coeff))
             if not num.is_zero():
                 corrections[ring.variables[col]] = LocalizedElement(loc, num, 1)
         taus[param] = TauDerivation(loc, param, corrections)
@@ -297,20 +282,6 @@ def solve_tau(v: Variety, chart: Chart) -> TangentFrame:
             f"tangent-frame solve failed in chart {chart.name}: minor not invertible?"
         )
     return frame
-
-
-def _det(ring: PolyRing, matrix: list[list[Polynomial]]) -> Polynomial:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = ring.zero()
-    for j in range(n):
-        entry = matrix[0][j]
-        if entry.is_zero():
-            continue
-        sub = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        total = total + entry * _det(ring, sub) * ((-1) ** j)
-    return total
 
 
 @dataclass(frozen=True)

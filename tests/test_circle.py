@@ -9,7 +9,6 @@ import pytest
 from gaugemods.circle import (
     CircleElement,
     IndexWindowError,
-    OperatorWord,
     act_e,
     annihilator_q,
     annihilator_s,
@@ -26,6 +25,7 @@ from gaugemods.circle import (
     to_gauge_element,
     witt_bracket_check,
 )
+from gaugemods.glrep import UEAElement
 
 ALPHAS = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(5, 3)]
 
@@ -67,12 +67,12 @@ class TestWords:
     def test_apply_rightmost_first(self):
         # e_{-1} e_0 applied to v_0 at alpha 0: e_0 first gives u_0,
         # then e_{-1} u_0 = v_0
-        w = OperatorWord.e(-1) * OperatorWord.e(0)
+        w = UEAElement.generator(-1) * UEAElement.generator(0)
         assert apply_word(w, basis_v(0, 0)) == basis_v(0, 0)
 
     def test_scalar_word(self):
         x = basis_v(Fraction(1, 2), 2)
-        assert apply_word(OperatorWord.scalar(Fraction(3, 4)), x) == x.scale(Fraction(3, 4))
+        assert apply_word(UEAElement.scalar(Fraction(3, 4)), x) == x.scale(Fraction(3, 4))
 
     def test_s_annihilates_v0_at_alpha_zero(self):
         assert apply_word(annihilator_s(), basis_v(0, 0)).is_zero()

@@ -58,6 +58,44 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "casimir", "table", "7")
         assert code == 3
 
+    def test_negative_samples_flag_exits_2(self, capsys):
+        code = main(["run", str(SCENARIOS / "sphere_gauge_flat.json"), "--samples", "-3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "samples: expected at least 1, got -3" in captured.err
+
+    def test_zero_samples_in_scenario_exits_2(self, capsys, tmp_path):
+        scn = json.loads((SCENARIOS / "derham_affine2.json").read_text())
+        scn["samples"] = 0
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(scn))
+        code, _ = run_cli(capsys, "run", str(path))
+        assert code == 2
+
+    def test_negative_grid_exits_2(self, capsys):
+        code, out = run_cli(capsys, "circle", "verify", "--grid", "-1")
+        assert code == 2 and out == ""
+
+    def test_negative_max_degree_exits_2(self, capsys):
+        code = main(["derham", "verify", str(SCENARIOS / "derham_sphere.json"),
+                     "--max-degree", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "maxDegree: expected at least 0, got -1" in captured.err
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_casimir_table_below_one_exits_2(self, capsys, n):
+        code, out = run_cli(capsys, "casimir", "table", n)
+        assert code == 2 and out == ""
+
+    def test_exponent_above_degree_cap_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps({"schema": "1", "kind": "variety",
+                                    "variety": {"variables": ["x"],
+                                                "generators": ["x - 2^65"]}}))
+        code, _ = run_cli(capsys, "run", str(path))
+        assert code == 3
+
     def test_empty_check_list_passes_vacuously(self, capsys, tmp_path):
         scn = json.loads((SCENARIOS / "sphere_gauge_flat.json").read_text())
         scn["checks"] = []

@@ -98,7 +98,7 @@ class TestCustomModule:
 class TestEvaluate:
     def test_single_generator(self):
         nat = exterior_power(2, 1)
-        got = evaluate(UEAElement.generator(1, 1), nat)
+        got = evaluate(UEAElement.generator((1, 1)), nat)
         assert got == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0)))
 
     def test_omega1_on_exterior_powers(self):
@@ -116,12 +116,12 @@ class TestEvaluate:
 
     def test_out_of_range_symbol(self):
         with pytest.raises(ValueError):
-            evaluate(UEAElement.generator(3, 1), exterior_power(2, 1))
+            evaluate(UEAElement.generator((3, 1)), exterior_power(2, 1))
 
 
 class TestCasimir:
     def test_k1_definition(self):
-        assert casimir(1, 2) == UEAElement.generator(1, 1) + UEAElement.generator(2, 2)
+        assert casimir(1, 2) == UEAElement.generator((1, 1)) + UEAElement.generator((2, 2))
 
     def test_k2_words(self):
         assert casimir(2, 2).words == {

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from gaugemods.parser import ParseError, parse_poly
-from gaugemods.polyring import PolyRing, render
+from gaugemods.polyring import DegreeOverflowError, PolyRing, render
 
 from test_polyring import RING, SPHERE, polynomials
 
@@ -64,6 +64,13 @@ def test_zero_denominator():
 def test_trailing_garbage():
     with pytest.raises(ParseError):
         parse_poly("x + y )", RING)
+
+
+def test_exponent_above_degree_cap_overflows():
+    assert RING.degree_cap == 64
+    assert parse_poly("2^64", RING) == RING.const(2**64)
+    with pytest.raises(DegreeOverflowError):
+        parse_poly("2^65", RING)
 
 
 def test_exponent_must_be_integer():
