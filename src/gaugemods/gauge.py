@@ -218,6 +218,9 @@ class GaugeModule:
             raise ValueError("gauge field belongs to a different chart")
         if field.dim != module.dim:
             raise ValueError("gauge field size does not match the module dimension")
+        if module.N != len(chart.parameters):
+            raise ValueError(f"the module is a gl_{module.N} module, but the chart has "
+                             f"{len(chart.parameters)} parameters")
         self.chart = chart
         self.module = module
         self.field = field

@@ -16,6 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 from typing import Callable, Mapping, Sequence
 
 from .polyring import (
@@ -58,45 +60,62 @@ def _exp_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _monic(p: Polynomial, key: Callable[[Exponents], tuple]) -> Polynomial:
-    lead = max(p.terms, key=key)
-    c = p.terms[lead]
+Key = Callable[[Exponents], tuple]
+# A basis element prepared for division: its leading exponents, and its other
+# terms with their coefficients scaled by -1/(leading coefficient).
+Reducer = tuple[Exponents, tuple[tuple[Exponents, Fraction], ...]]
+
+
+def _monic(p: Polynomial, dkey: Key) -> Polynomial:
+    c = p.terms[min(p.terms, key=dkey)]
     return p if c == 1 else p * (1 / c)
 
 
-def _reduce(p: Polynomial, basis: Sequence[Polynomial],
-            leads: Sequence[tuple[Exponents, Fraction]],
-            key: Callable[[Exponents], tuple]) -> Polynomial:
-    """Remainder of multivariate division of p by the basis."""
-    ring = p.ring
+def _reducer(g: Polynomial, dkey: Key) -> Reducer:
+    lead = min(g.terms, key=dkey)
+    scale = -1 / g.terms[lead]
+    return lead, tuple((e, c * scale) for e, c in g.terms.items() if e != lead)
+
+
+def _reduce(p: Polynomial, reducers: Sequence[Reducer], dkey: Key) -> Polynomial:
+    """Remainder of multivariate division of p by the basis.
+
+    The largest remaining term is divided by the first reducer, in basis
+    order, whose leading monomial divides it.  Pending terms wait in a heap
+    under the descending key, computed once when a term enters.  A term
+    that cancels keeps its entry with coefficient 0 and is skipped when
+    popped: every term a step adds is below the term it removes, so a
+    popped monomial never comes back.
+    """
     work = dict(p.terms)
+    heap = [(dkey(e), e) for e in work]
+    heapify(heap)
     remainder: dict[Exponents, Fraction] = {}
-    while work:
-        e = max(work, key=key)
+    while heap:
+        e = heappop(heap)[1]
         c = work.pop(e)
-        for g, (ge, gc) in zip(basis, leads):
-            if _divides(ge, e):
-                # subtract (c/gc) * x^(e-ge) * g from the working tail
-                shift = _exp_sub(e, ge)
-                factor = c / gc
-                for me, mc in g.terms.items():
-                    if me == ge:
-                        continue
-                    te = tuple(x + y for x, y in zip(me, shift))
-                    s = work.get(te, 0) - factor * mc
-                    if s:
-                        work[te] = s
+        if not c:
+            continue
+        for ge, tail in reducers:
+            if all(map(le, ge, e)):
+                # subtract (c/lc) * x^(e-ge) * g, whose leading term is c * x^e
+                shift = tuple(map(sub, e, ge))
+                for me, tc in tail:
+                    te = tuple(map(add, me, shift))
+                    old = work.get(te)
+                    if old is None:
+                        work[te] = c * tc
+                        heappush(heap, (dkey(te), te))
                     else:
-                        work.pop(te, None)
+                        work[te] = old + c * tc
                 break
         else:
             remainder[e] = c
-    return Polynomial(ring, remainder)
+    return Polynomial._own(p.ring, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     """S-polynomial: the leading terms are lifted to their lcm and cancelled."""
-    key = order.key(f.ring)
     fe, fc = leading_term(f, order)
     ge, gc = leading_term(g, order)
     lcm = _exp_lcm(fe, ge)
@@ -120,17 +139,15 @@ class GroebnerBasis:
         self.order = order
         self.basis = tuple(basis)
         self.generators = tuple(generators)
-        self._key = order.key(ring)
-        self._leads = tuple((max(g.terms, key=self._key),
-                             g.terms[max(g.terms, key=self._key)])
-                            for g in self.basis)
+        self._dkey = order.descending_key(ring)
+        self._reducers = tuple(_reducer(g, self._dkey) for g in self.basis)
 
     def reduce(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
             raise ValueError("polynomial from a different ring")
         if not self.basis or p.is_zero():
             return p
-        return _reduce(p, self.basis, self._leads, self._key)
+        return _reduce(p, self._reducers, self._dkey)
 
     def contains(self, p: Polynomial) -> bool:
         return self.reduce(p).is_zero()
@@ -160,10 +177,12 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     ring = ideal.ring
     order = order or grevlex(ring)
     key = order.key(ring)
+    dkey = order.descending_key(ring)
 
-    basis = [_monic(g, key) for g in ideal.generators]
-    basis.sort(key=lambda g: key(max(g.terms, key=key)))
-    leads = [max(g.terms, key=key) for g in basis]
+    basis = [_monic(g, dkey) for g in ideal.generators]
+    basis.sort(key=lambda g: dkey(min(g.terms, key=dkey)), reverse=True)
+    reducers = [_reducer(g, dkey) for g in basis]
+    leads = [lead for lead, _ in reducers]
 
     def pair_key(pair: tuple[int, int]) -> tuple:
         i, j = pair
@@ -177,21 +196,22 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         if _exp_lcm(li, lj) == tuple(a + b for a, b in zip(li, lj)):
             continue  # coprime leading terms: S-poly reduces to zero
         s = s_polynomial(basis[i], basis[j], order)
-        lead_info = [(e, basis[k].terms[e]) for k, e in enumerate(leads)]
-        r = _reduce(s, basis, lead_info, key)
+        r = _reduce(s, reducers, dkey)
         if not r.is_zero():
-            r = _monic(r, key)
+            r = _monic(r, dkey)
             basis.append(r)
-            leads.append(max(r.terms, key=key))
+            reducers.append(_reducer(r, dkey))
+            leads.append(reducers[-1][0])
             new = len(basis) - 1
             pairs.update((k, new) for k in range(new))
 
-    return GroebnerBasis(ring, order, _reduce_basis(basis, key), ideal.generators)
+    return GroebnerBasis(ring, order, _reduce_basis(basis, reducers, dkey), ideal.generators)
 
 
-def _reduce_basis(basis: list[Polynomial], key) -> list[Polynomial]:
+def _reduce_basis(basis: list[Polynomial], reducers: list[Reducer],
+                  dkey: Key) -> list[Polynomial]:
     """Minimalize and tail-reduce, producing the canonical reduced basis."""
-    leads = [max(g.terms, key=key) for g in basis]
+    leads = [lead for lead, _ in reducers]
     keep = []
     for i, e in enumerate(leads):
         if any(j != i and _divides(leads[j], e) and
@@ -199,15 +219,15 @@ def _reduce_basis(basis: list[Polynomial], key) -> list[Polynomial]:
             continue
         keep.append(i)
     minimal = [basis[i] for i in keep]
+    minimal_reducers = [reducers[i] for i in keep]
     reduced: list[Polynomial] = []
     for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
+        others = minimal_reducers[:i] + minimal_reducers[i + 1:]
         if others:
-            infos = [(max(o.terms, key=key), o.terms[max(o.terms, key=key)]) for o in others]
-            g = _reduce(g, others, infos, key)
+            g = _reduce(g, others, dkey)
         if not g.is_zero():
-            reduced.append(_monic(g, key))
-    reduced.sort(key=lambda g: key(max(g.terms, key=key)), reverse=True)
+            reduced.append(_monic(g, dkey))
+    reduced.sort(key=lambda g: dkey(min(g.terms, key=dkey)))
     return reduced
 
 

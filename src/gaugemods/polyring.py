@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from operator import add, itemgetter, neg
 from typing import Callable, Iterable, Mapping
 
 Exponents = tuple[int, ...]
@@ -94,12 +96,20 @@ class Polynomial:
         self.ring = ring
         self.terms: dict[Exponents, Fraction] = {e: c for e, c in terms.items() if c != 0}
         self._hash: int | None = None
-        if self.terms:
-            deg = max(sum(e) for e in self.terms)
-            if deg > ring.degree_cap:
-                raise DegreeOverflowError(
-                    f"total degree {deg} exceeds the ring cap {ring.degree_cap}"
-                )
+        _check_degree(ring, self.terms)
+
+    @classmethod
+    def _own(cls, ring: PolyRing, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """Adopt a dict of nonzero terms that was just built and that no caller keeps.
+
+        Unlike the public constructor it neither copies nor filters zeros.
+        """
+        p = cls.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        p._hash = None
+        _check_degree(ring, terms)
+        return p
 
     # -- basic queries ----------------------------------------------------
 
@@ -126,17 +136,21 @@ class Polynomial:
         self._check_ring(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
+            old = out.get(e)
+            if old is None:
+                out[e] = c
             else:
-                out.pop(e, None)
-        return Polynomial(self.ring, out)
+                s = old + c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return Polynomial._own(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial._own(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -151,18 +165,22 @@ class Polynomial:
             c = Fraction(other)
             if c == 0:
                 return self.ring.zero()
-            return Polynomial(self.ring, {e: c * v for e, v in self.terms.items()})
+            return Polynomial._own(self.ring, {e: c * v for e, v in self.terms.items()})
         self._check_ring(other)
         out: dict[Exponents, Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
+                e = tuple(map(add, ea, eb))
+                old = out.get(e)
+                if old is None:
+                    out[e] = ca * cb
                 else:
-                    out.pop(e, None)
-        return Polynomial(self.ring, out)
+                    s = old + ca * cb
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+        return Polynomial._own(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -206,7 +224,7 @@ class Polynomial:
                 out[de] = s
             else:
                 out.pop(de, None)
-        return Polynomial(self.ring, out)
+        return Polynomial._own(self.ring, out)
 
     # -- rendering -----------------------------------------------------------
 
@@ -215,6 +233,15 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({render(self)!r})"
+
+
+def _check_degree(ring: PolyRing, terms: Mapping[Exponents, Fraction]) -> None:
+    if terms:
+        deg = max(map(sum, terms))
+        if deg > ring.degree_cap:
+            raise DegreeOverflowError(
+                f"total degree {deg} exceeds the ring cap {ring.degree_cap}"
+            )
 
 
 @dataclass(frozen=True)
@@ -234,16 +261,30 @@ class MonomialOrder:
 
     def key(self, ring: PolyRing) -> Callable[[Exponents], tuple]:
         """Sort key for exponent vectors; max(key) is the leading term."""
-        if set(self.priority) != set(ring.variables):
-            raise RingMismatchError(
-                f"order priority {self.priority} does not match ring {ring.variables}"
-            )
-        perm = tuple(ring.index(v) for v in self.priority)
-        if self.kind == "lex":
-            return lambda e: tuple(e[i] for i in perm)
-        # grevlex: compare total degree, then reversed exponents negated
-        rev = tuple(reversed(perm))
-        return lambda e: (sum(e), tuple(-e[i] for i in rev))
+        return _order_keys(self.kind, self.priority, ring.variables)[0]
+
+    def descending_key(self, ring: PolyRing) -> Callable[[Exponents], tuple]:
+        """Sort key with the largest monomial first: min(key) is the leading
+        term, and ``heapq`` pops the largest monomial first."""
+        return _order_keys(self.kind, self.priority, ring.variables)[1]
+
+
+@lru_cache(maxsize=64)
+def _order_keys(kind: str, priority: tuple[str, ...], variables: tuple[str, ...]
+                ) -> tuple[Callable[[Exponents], tuple], Callable[[Exponents], tuple]]:
+    """The ascending and the descending key of one order on one ring."""
+    if set(priority) != set(variables):
+        raise RingMismatchError(
+            f"order priority {priority} does not match ring {variables}"
+        )
+    perm = tuple(variables.index(v) for v in priority)
+    # grevlex compares total degree, then the reversed exponents negated
+    idx = perm if kind == "lex" else tuple(reversed(perm))
+    take = itemgetter(*idx) if len(idx) > 1 else lambda e: tuple(e[i] for i in idx)
+    if kind == "lex":
+        return take, lambda e: tuple(map(neg, take(e)))
+    return (lambda e: (sum(e), tuple(map(neg, take(e)))),
+            lambda e: (-sum(e), take(e)))
 
 
 def grevlex(ring: PolyRing, priority: Iterable[str] | None = None) -> MonomialOrder:
@@ -258,7 +299,7 @@ def leading_term(p: Polynomial, order: MonomialOrder) -> tuple[Exponents, Fracti
     """Maximal term of a nonzero polynomial under the given order."""
     if p.is_zero():
         raise ValueError("the zero polynomial has no leading term")
-    e = max(p.terms, key=order.key(p.ring))
+    e = min(p.terms, key=order.descending_key(p.ring))
     return e, p.terms[e]
 
 
@@ -282,9 +323,8 @@ def render(p: Polynomial, order: MonomialOrder | None = None) -> str:
     if p.is_zero():
         return "0"
     order = order or grevlex(p.ring)
-    key = order.key(p.ring)
     pieces: list[str] = []
-    for e in sorted(p.terms, key=key, reverse=True):
+    for e in sorted(p.terms, key=order.descending_key(p.ring)):
         c = p.terms[e]
         mono = _render_monomial(p.ring, e)
         if not mono:

@@ -300,7 +300,10 @@ def _run_gauge(scn: dict) -> Iterator[dict]:
     chart = select_chart(v, scn["chart"])
     module = build_module(scn["module"], "scenario.module")
     field = build_gauge_field(scn, chart, module.dim)
-    gm = GaugeModule(chart, module, field)
+    try:
+        gm = GaugeModule(chart, module, field)
+    except ValueError as exc:
+        raise ScenarioError(f"scenario.module: {exc}") from exc
     seed = scn.get("seed", 0)
     samples = scn.get("samples", 50)
     want = _selector(scn)

@@ -12,6 +12,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +46,9 @@ from gaugemods.glrep import (
 from gaugemods.groebner import Ideal, buchberger, is_member, is_unit_ideal
 from gaugemods.polyring import PolyRing
 from gaugemods.variety import bracket, sphere_variety, to_chart
+
+# the recorded report of ``run --bundled --no-timing``; read here, never written
+BUNDLED_REPORT = Path(__file__).parents[1] / "perfbench" / "references" / "bundled_report.json"
 
 
 class _Timer:
@@ -280,7 +284,8 @@ def test_criterion_9_groebner_self_verification():
 
 
 def test_criterion_10_determinism(capsys):
-    with _Timer(10, 120.0, "bundled suite is byte-identical across reruns"):
+    with _Timer(10, 120.0,
+                "bundled suite is byte-identical across reruns and to the recorded report"):
         args = ["run", "--bundled", "--no-timing"]
         code1 = main(args)
         out1 = capsys.readouterr().out
@@ -288,5 +293,7 @@ def test_criterion_10_determinism(capsys):
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0
         assert out1 == out2
+        assert out1.encode("utf-8") == BUNDLED_REPORT.read_bytes(), \
+            "the bundled report differs from the recorded one"
         report = json.loads(out1)
         assert report["schema"] == "1" and report["status"] == "pass"

@@ -96,6 +96,17 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "run", str(path))
         assert code == 3
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_module_rank_other_than_chart_exits_2(self, capsys, tmp_path, n):
+        scn = json.loads((SCENARIOS / "affine2_gauge.json").read_text())
+        scn["module"]["N"] = n
+        path = tmp_path / "rank.json"
+        path.write_text(json.dumps(scn))
+        code = main(["run", str(path), "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"gl_{n} module, but the chart has 2 parameters" in captured.err
+
     def test_empty_check_list_passes_vacuously(self, capsys, tmp_path):
         scn = json.loads((SCENARIOS / "sphere_gauge_flat.json").read_text())
         scn["checks"] = []

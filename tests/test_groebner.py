@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaugemods.groebner import (
     GroebnerBasis,
@@ -18,9 +20,17 @@ from gaugemods.groebner import (
     loc_partial,
     s_polynomial,
 )
-from gaugemods.polyring import PolyRing, grevlex, lex
+from gaugemods.parser import parse_poly
+from gaugemods.polyring import (
+    DegreeOverflowError,
+    Polynomial,
+    PolyRing,
+    grevlex,
+    leading_term,
+    lex,
+)
 
-from test_polyring import RING, SPHERE, X, Y, Z
+from test_polyring import RING, SPHERE, X, Y, Z, polynomials
 
 TS_RING = PolyRing(("t", "s"))
 T, S = TS_RING.var("t"), TS_RING.var("s")
@@ -212,3 +222,107 @@ def test_ideal_requires_nonzero_generators():
         Ideal(RING, ())
     with pytest.raises(ValueError):
         Ideal(RING, (RING.zero(),))
+
+
+def reference_reduce(p, basis, order):
+    """Reference division: a max() over all pending terms on every step.
+
+    The largest remaining term is divided by the first basis element whose
+    leading monomial divides it; otherwise it moves to the remainder.
+    """
+    key = order.key(p.ring)
+    leads = [max(g.terms, key=key) for g in basis]
+    work = dict(p.terms)
+    remainder = {}
+    while work:
+        e = max(work, key=key)
+        c = work.pop(e)
+        for g, ge in zip(basis, leads):
+            if all(x <= y for x, y in zip(ge, e)):
+                shift = tuple(x - y for x, y in zip(e, ge))
+                factor = c / g.terms[ge]
+                for me, mc in g.terms.items():
+                    if me == ge:
+                        continue
+                    te = tuple(x + y for x, y in zip(me, shift))
+                    s = work.get(te, 0) - factor * mc
+                    if s:
+                        work[te] = s
+                    else:
+                        work.pop(te, None)
+                break
+        else:
+            remainder[e] = c
+    return Polynomial(p.ring, remainder)
+
+
+def assert_same_division(gb, p):
+    """gb.reduce(p) is the reference remainder, term for term and in order,
+    and does not change when p's term dict is changed afterwards."""
+    try:
+        expected = reference_reduce(p, gb.basis, gb.order)
+    except DegreeOverflowError:
+        with pytest.raises(DegreeOverflowError):
+            gb.reduce(p)
+        return
+    q = Polynomial(p.ring, p.terms)
+    got = gb.reduce(q)
+    assert list(got.terms.items()) == list(expected.terms.items())
+    q.terms.clear()
+    assert got == expected
+
+
+ORDERS = [grevlex(RING), grevlex(RING, ("z", "x", "y")), lex(RING), lex(RING, ("y", "z", "x"))]
+
+
+class TestDivisionOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(polynomials(max_degree=3, max_terms=3), min_size=1, max_size=4),
+           polynomials(max_degree=5, max_terms=6), st.sampled_from(ORDERS))
+    def test_non_groebner_bases(self, basis, p, order):
+        basis = [g for g in basis if not g.is_zero()] or [SPHERE]
+        assert_same_division(GroebnerBasis(RING, order, basis), p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(polynomials(max_degree=6, max_terms=6), st.sampled_from(ORDERS))
+    def test_reduced_bases(self, p, order):
+        for gens in [(SPHERE,), (SPHERE, X * Y - Z), (X**2 - Y, X * Y - Z, Y * Z - X)]:
+            assert_same_division(buchberger(Ideal(RING, gens), order), p)
+
+
+def _sympy_basis(gb):
+    """sympy's reduced grevlex basis of gb's ideal, monic and sorted as gb.basis is."""
+    sympy = pytest.importorskip("sympy")
+    ring, order = gb.ring, gb.order
+    syms = sympy.symbols(ring.variables)
+    exprs = [sum(sympy.Rational(c.numerator, c.denominator) *
+                 sympy.Mul(*[s**k for s, k in zip(syms, e)]) for e, c in g.terms.items())
+             for g in gb.generators]
+    basis = []
+    for expr in sympy.groebner(exprs, *syms, order="grevlex").exprs:
+        terms = {e: Fraction(int(c.p), int(c.q))
+                 for e, c in sympy.Poly(expr, *syms).terms()}
+        p = Polynomial(ring, terms)
+        basis.append(p * (1 / leading_term(p, order)[1]))
+    dkey = order.descending_key(ring)
+    return tuple(sorted(basis, key=lambda g: dkey(leading_term(g, order)[0])))
+
+
+ORACLE_IDEALS = {
+    "cyclic-4": (("a", "b", "c", "d"),
+                 ["a + b + c + d", "a*b + b*c + c*d + d*a",
+                  "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1"]),
+    "sphere": (("x", "y", "z"), ["x^2 + y^2 + z^2 - 1"]),
+    "torus": (("x", "y", "z", "w"), ["x^2 + y^2 - 1", "z^2 + w^2 - 1"]),
+    "SL2": (("a", "b", "c", "d"), ["a*d - b*c - 1"]),
+    # the sphere's chart h = x, presented as I + (h*t - 1)
+    "sphere-chart-x": (("x", "y", "z", "t"), ["x^2 + y^2 + z^2 - 1", "x*t - 1"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_IDEALS))
+def test_reduced_basis_matches_sympy(name):
+    names, gens = ORACLE_IDEALS[name]
+    ring = PolyRing(names)
+    gb = buchberger(Ideal(ring, tuple(parse_poly(g, ring) for g in gens)))
+    assert gb.basis == _sympy_basis(gb)

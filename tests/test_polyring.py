@@ -160,6 +160,23 @@ def test_partials_commute(p, v, w):
 
 
 @settings(max_examples=40, deadline=None)
+@given(polynomials(), polynomials())
+def test_results_share_no_term_dict(p, q):
+    """Changing a dict given to the constructor, or an operand's terms,
+    leaves every result unchanged."""
+    terms = dict(p.terms)
+    made = Polynomial(RING, terms)
+    a, b = Polynomial(RING, p.terms), Polynomial(RING, q.terms)
+    results = [made, a + b, a - b, a * b, a * Fraction(3, 2), 2 + a, -a,
+               a.partial("x"), a**1, a**2]
+    expected = [dict(r.terms) for r in results]
+    terms[(9, 0, 0)] = Fraction(1)
+    a.terms[(8, 0, 0)] = Fraction(1)
+    b.terms.clear()
+    assert [r.terms for r in results] == expected
+
+
+@settings(max_examples=40, deadline=None)
 @given(polynomials())
 def test_no_zero_terms_stored(p):
     assert all(c != 0 for c in p.terms.values())
