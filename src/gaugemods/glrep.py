@@ -18,7 +18,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
+
+from .linalg import Row, sparse_row
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -93,6 +95,26 @@ def as_matrix(rows: Sequence[Sequence[int | str | Fraction]]) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
+SparseRows = tuple[Row, ...]
+
+def sparse_sum(n: int,
+               terms: Iterable[tuple[Fraction | int, SparseRows, SparseRows]]) -> SparseRows:
+    """The n x n sum of c * a * b over the (c, a, b) in terms, in sparse rows.
+
+    Each product costs one step per pair of nonzeros that meet."""
+    acc: list[Row] = [{} for _ in range(n)]
+    for c, a, b in terms:
+        for out, row in zip(acc, a):
+            for k, x in row.items():
+                cx = x if c == 1 else c * x
+                for j, y in b[k].items():
+                    if j in out:
+                        out[j] += cx * y
+                    else:
+                        out[j] = cx * y
+    return tuple({j: x for j, x in row.items() if x} for row in acc)
+
+
 # -- modules -----------------------------------------------------------------
 
 class GlModule:
@@ -124,18 +146,22 @@ class GlModule:
         self.name = name or f"gl{N}-module(dim {self.dim})"
         self.basis_labels = tuple(basis_labels) if basis_labels else tuple(
             f"b{i}" for i in range(self.dim))
+        self.sparse_rho = {key: tuple(map(sparse_row, m)) for key, m in self.rho.items()}
+        self.sparse_one = tuple({i: Fraction(1)} for i in range(self.dim))
         self._validate()
 
     def _validate(self) -> None:
         rng = range(1, self.N + 1)
+        rho, one = self.sparse_rho, self.sparse_one
         for i, j, k, l in itertools.product(rng, repeat=4):
-            lhs = mat_commutator(self.rho[(i, j)], self.rho[(k, l)])
-            rhs = zero_matrix(self.dim)
+            # ab - ba - d_jk rho(E_il) + d_li rho(E_kj) must vanish
+            a, b = rho[(i, j)], rho[(k, l)]
+            terms = [(1, a, b), (-1, b, a)]
             if j == k:
-                rhs = mat_add(rhs, self.rho[(i, l)])
+                terms.append((-1, rho[(i, l)], one))
             if l == i:
-                rhs = mat_sub(rhs, self.rho[(k, j)])
-            if lhs != rhs:
+                terms.append((1, rho[(k, j)], one))
+            if any(sparse_sum(self.dim, terms)):
                 raise GlModuleError(
                     f"commutator relation fails for (i,j,k,l)=({i},{j},{k},{l})"
                 )
@@ -273,16 +299,32 @@ class UEAElement:
 
 
 def evaluate(el: UEAElement, m: GlModule) -> Matrix:
-    """Evaluate a word sum on a module: products of rho matrices."""
-    total = zero_matrix(m.dim)
-    for word, coeff in el.words.items():
-        acc = identity(m.dim)
-        for (i, j) in word:
-            if not (1 <= i <= m.N and 1 <= j <= m.N):
-                raise ValueError(f"symbol E_{i}{j} out of range for N={m.N}")
-            acc = mat_mul(acc, m.rho[(i, j)])
-        total = mat_add(total, mat_scale(acc, coeff))
-    return total
+    """Evaluate a word sum on a module, in Horner form over its prefix trie:
+    E(S) = c_() * I + sum over symbols a of rho(a) * E(words of S after a)."""
+    zero = Fraction(0)
+    return tuple(tuple(row.get(j, zero) for j in range(m.dim))
+                 for row in _horner(el.words, m))
+
+
+def _horner(words: Mapping[Word, Fraction], m: GlModule) -> SparseRows:
+    suffixes: dict[Hashable, dict[Word, Fraction]] = {}
+    terms = []
+    for word, coeff in words.items():
+        if word:
+            suffixes.setdefault(word[0], {})[word[1:]] = coeff
+        else:
+            terms.append((coeff, m.sparse_one, m.sparse_one))
+    for symbol, rest in suffixes.items():
+        rho = m.sparse_rho.get(symbol)
+        if rho is None:
+            raise ValueError(f"symbol {symbol!r} out of range for N={m.N}")
+        # a word ending after the symbol adds c * rho(a): no product with c * I
+        ends = rest.pop((), None)
+        if ends is not None:
+            terms.append((ends, rho, m.sparse_one))
+        if rest:
+            terms.append((1, rho, _horner(rest, m)))
+    return sparse_sum(m.dim, terms)
 
 
 def casimir(k: int, N: int) -> UEAElement:
@@ -351,10 +393,14 @@ class ExceptionalReport:
 
     module: str
     N: int
-    omega1: Fraction
+    omega: tuple[Fraction, ...]
     omega1_in_range: bool
     p_scalars: dict[int, Fraction | None]
     verdict: str
+
+    @property
+    def omega1(self) -> Fraction:
+        return self.omega[0]
 
 
 def exceptional_check(m: GlModule, budget: int = DEFAULT_TERM_BUDGET) -> ExceptionalReport:
@@ -369,7 +415,7 @@ def exceptional_check(m: GlModule, budget: int = DEFAULT_TERM_BUDGET) -> Excepti
         if pk != 0:
             all_zero = False
     verdict = "possibly exceptional" if (in_range and all_zero) else "not exceptional"
-    return ExceptionalReport(m.name, m.N, omega1, in_range, p_scalars, verdict)
+    return ExceptionalReport(m.name, m.N, tuple(chi), in_range, p_scalars, verdict)
 
 
 def stabilizer_sum(N: int, k: int, budget: int = DEFAULT_TERM_BUDGET) -> int:

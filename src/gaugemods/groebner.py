@@ -256,6 +256,8 @@ class QuotientRing:
         return self.element(self.ring.one())
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, QuotientRing):
             return NotImplemented
         return self.ring == other.ring and self.gb.basis == other.gb.basis
@@ -369,6 +371,8 @@ class Localization:
         return self.element(1)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Localization):
             return NotImplemented
         return self.qring == other.qring and self.h == other.h

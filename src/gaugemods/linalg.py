@@ -1,13 +1,15 @@
 """Exact linear algebra: cofactor determinants and elimination over QQ.
 
 ``det`` never divides, so it serves any ring whose elements support
-``+``, ``*`` and ``is_zero``.  ``rank`` and ``solve`` are built on the
-Gauss-Jordan ``echelon`` and leave their arguments unchanged.
+``+``, ``*`` and ``is_zero``.  ``rank`` and ``solve`` take dense
+matrices, leave them unchanged, and eliminate on sparse rows with the
+Gauss-Jordan ``echelon``, so their cost follows the nonzero entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from .polyring import Polynomial, PolyRing
 
@@ -28,41 +30,76 @@ def det(ring: PolyRing, matrix: list[list[Polynomial]]) -> Polynomial:
     return total
 
 
-def echelon(m: list[list[Fraction]], ncols: int) -> list[int]:
-    """Reduce m in place to reduced row echelon form, pivoting only in the
-    first ``ncols`` columns; returns the pivot columns of the leading rows."""
-    nrows = len(m)
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
+Row = dict[int, Fraction]  # a sparse row: column -> nonzero entry
+
+
+def _subtract(row: Row, f: Fraction, other: Row) -> None:
+    """row -= f * other, dropping the entries that cancel."""
+    for k, x in other.items():
+        y = row.get(k)
+        if y is None:
+            row[k] = -f * x
+        else:
+            y -= f * x
+            if y:
+                row[k] = y
+            else:
+                del row[k]
+
+
+def echelon(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[Row]]:
+    """Gauss-Jordan elimination on sparse rows (column -> nonzero entry),
+    pivoting only in the first ``ncols`` columns; the rows may be changed.
+
+    Each row is reduced by the pivot rows found so far; if it keeps an
+    entry below ``ncols``, its first column becomes a new pivot, and the
+    row, scaled to 1 there, is eliminated from the earlier pivot rows.
+    Returns the reduced row echelon form as a map from pivot column to
+    row, and the other rows, which are zero in the first ``ncols`` columns.
+    """
+    pivots: dict[int, Row] = {}
+    rest: list[Row] = []
+    for row in rows:
+        # a pivot row is zero in every other pivot column, so one pass suffices
+        for c in [c for c in row if c in pivots]:
+            _subtract(row, row[c], pivots[c])
+        lead = min((c for c in row if c < ncols), default=None)
+        if lead is None:
+            rest.append(row)
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-    return pivots
+        pv = row[lead]
+        row = {k: x / pv for k, x in row.items()}
+        for other in pivots.values():
+            if lead in other:
+                _subtract(other, other[lead], row)
+        pivots[lead] = row
+    return pivots, rest
+
+
+def sparse_row(row: Sequence[Fraction]) -> Row:
+    return {c: x for c, x in enumerate(row) if x}
 
 
 def rank(matrix: list[list[Fraction]]) -> int:
-    return len(echelon([row[:] for row in matrix], len(matrix[0]) if matrix else 0))
+    return len(echelon(map(sparse_row, matrix), len(matrix[0]) if matrix else 0)[0])
 
 
 def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """A solution of matrix * x = rhs with free unknowns zero; None if inconsistent."""
+    """A solution of matrix * x = rhs with free unknowns zero; None if inconsistent.
+
+    The reduced row echelon form is unique, so the solution does not
+    depend on the order in which the rows are eliminated."""
     ncols = len(matrix[0]) if matrix else 0
-    m = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    pivots = echelon(m, ncols)
-    if any(row[ncols] != 0 for row in m[len(pivots):]):
+    rows = []
+    for row, b in zip(matrix, rhs):
+        sparse = sparse_row(row)
+        if b:
+            sparse[ncols] = b
+        rows.append(sparse)
+    pivots, rest = echelon(rows, ncols)
+    if any(rest):
         return None
     solution = [Fraction(0)] * ncols
-    for row, c in zip(m, pivots):
-        solution[c] = row[ncols]
+    for c, row in pivots.items():
+        solution[c] = row.get(ncols, Fraction(0))
     return solution

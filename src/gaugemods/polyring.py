@@ -125,7 +125,7 @@ class Polynomial:
     # -- arithmetic --------------------------------------------------------
 
     def _check_ring(self, other: "Polynomial") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(
                 f"ring mismatch: {self.ring.variables} vs {other.ring.variables}"
             )

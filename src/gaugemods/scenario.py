@@ -34,12 +34,9 @@ from .gauge import (
 )
 from .glrep import (
     GlModule,
-    central_character,
     custom_module,
     exceptional_check,
     exterior_power,
-    p_poly_matrix,
-    scalar_of,
     symmetric_square,
     trivial_module,
 )
@@ -611,16 +608,12 @@ def central_character_table(N: int, budget: int = 200_000) -> list[dict]:
     rows = []
     for k in range(N + 1):
         module = exterior_power(N, k)
-        chi = central_character(module)
-        p_values = {}
-        for j in range(2, N + 1):
-            p_values[str(j)] = _fraction_str(scalar_of(p_poly_matrix(j, module, budget)))
         report = exceptional_check(module, budget)
         rows.append({
             "module": module.name,
             "k": k,
-            "omega": [_fraction_str(c) for c in chi],
-            "P": p_values,
+            "omega": [_fraction_str(c) for c in report.omega],
+            "P": {str(j): _fraction_str(c) for j, c in report.p_scalars.items()},
             "verdict": report.verdict,
         })
     return rows

@@ -247,6 +247,11 @@ class TestObstruction:
             total = total + f.partial(ring.variables[i])
         assert total == ring.one()
 
+    def test_full_size_gaussian_infeasible_and_control_feasible(self):
+        # the benchmark's size: 330 x 840 and 126 x 840 systems
+        assert gaussian_obstruction(4, 6).status == "INFEASIBLE_UP_TO_D"
+        assert gaussian_obstruction(4, 6, 0).status == "FEASIBLE"
+
     def test_gaussian_scale_recorded(self):
         result = gaussian_obstruction(1, 2)
         assert result.scale == Fraction(-2) and result.N == 1 and result.max_degree == 2

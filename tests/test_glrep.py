@@ -1,15 +1,20 @@
 """gl_N modules, Casimirs, symmetrized central sums, central characters."""
 
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaugemods.glrep import (
     BudgetExceededError,
     GlModuleError,
     NonScalarActionError,
     UEAElement,
+    as_matrix,
     casimir,
     central_character,
     custom_module,
@@ -19,8 +24,11 @@ from gaugemods.glrep import (
     hat_omega,
     identity,
     is_zero_matrix,
+    mat_add,
     mat_commutator,
+    mat_mul,
     mat_scale,
+    mat_sub,
     p_poly_matrix,
     scalar_of,
     stabilizer_sum,
@@ -28,6 +36,73 @@ from gaugemods.glrep import (
     trivial_module,
     zero_matrix,
 )
+from gaugemods.scenario import central_character_table
+
+# Casimir tables recorded for the benchmark; read here, never written
+EXPECTED = Path(__file__).parents[1] / "perfbench" / "references" / "expected.json"
+
+
+def reference_evaluate(el, m):
+    """Word by word: each word a product of dense rho matrices."""
+    total = zero_matrix(m.dim)
+    for word, coeff in el.words.items():
+        acc = identity(m.dim)
+        for (i, j) in word:
+            if not (1 <= i <= m.N and 1 <= j <= m.N):
+                raise ValueError(f"symbol E_{i}{j} out of range for N={m.N}")
+            acc = mat_mul(acc, m.rho[(i, j)])
+        total = mat_add(total, mat_scale(acc, coeff))
+    return total
+
+
+def reference_failure(N, rho):
+    """The first (i, j, k, l), in product order, whose commutator relation
+    fails on the dense matrices; None if all hold."""
+    dim = len(rho[(1, 1)])
+    for i, j, k, l in itertools.product(range(1, N + 1), repeat=4):
+        rhs = zero_matrix(dim)
+        if j == k:
+            rhs = mat_add(rhs, rho[(i, l)])
+        if l == i:
+            rhs = mat_sub(rhs, rho[(k, j)])
+        if mat_commutator(rho[(i, j)], rho[(k, l)]) != rhs:
+            return (i, j, k, l)
+    return None
+
+
+def twisted_natural(alpha):
+    """The natural gl_3 module twisted by alpha times the trace and conjugated
+    by p: rho(E_ij) = p (E_ij + alpha d_ij I) p^-1, with non-integer entries."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    p = as_matrix([[1, half, 0], [0, 1, -third], [0, 0, 1]])
+    p_inv = as_matrix([[1, -half, -half * third], [0, 1, third], [0, 0, 1]])
+    assert mat_mul(p, p_inv) == identity(3)
+    rho = {}
+    for (i, j), mat in exterior_power(3, 1).rho.items():
+        shifted = mat_add(mat, mat_scale(identity(3), alpha)) if i == j else mat
+        rho[(i, j)] = mat_mul(mat_mul(p, shifted), p_inv)
+    return custom_module(3, rho, name="twisted natural")
+
+
+WORD_MODULES = [exterior_power(3, k) for k in range(4)] + [
+    symmetric_square(2),
+    symmetric_square(3),
+    twisted_natural(Fraction(2, 3)),
+]
+
+
+@st.composite
+def word_sums(draw, N):
+    """Word sums whose words extend a few shared prefixes, with fractional
+    coefficients; the empty word may appear, as a word or as a prefix."""
+    symbol = st.tuples(st.integers(1, N), st.integers(1, N))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    prefixes = draw(st.lists(st.lists(symbol, max_size=3).map(tuple), min_size=1, max_size=3))
+    words = {}
+    for _ in range(draw(st.integers(0, 10))):
+        suffix = tuple(draw(st.lists(symbol, max_size=2)))
+        words[draw(st.sampled_from(prefixes)) + suffix] = draw(coeff)
+    return UEAElement(words)
 
 
 class TestExteriorPower:
@@ -94,6 +169,26 @@ class TestCustomModule:
         with pytest.raises(GlModuleError):
             custom_module(2, {(1, 1): [[1]]})
 
+    def test_twisted_natural_module_valid(self):
+        m = WORD_MODULES[-1]
+        assert any(x.denominator > 1 for mat in m.rho.values() for row in mat for x in row)
+        assert scalar_of(evaluate(casimir(1, 3), m)) == 1 + 3 * Fraction(2, 3)
+
+    @pytest.mark.parametrize("key", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_every_perturbed_entry_rejected_at_first_failing_relation(self, key):
+        # each single-entry change of Sym^2 QQ^2 breaks some relation, and the
+        # error names the first one in (i, j, k, l) order
+        base = symmetric_square(2)
+        for r, c in itertools.product(range(base.dim), repeat=2):
+            rho = {k: [list(row) for row in mat] for k, mat in base.rho.items()}
+            rho[key][r][c] += Fraction(1, 2)
+            dense = {k: tuple(tuple(row) for row in mat) for k, mat in rho.items()}
+            failing = reference_failure(2, dense)
+            assert failing is not None
+            with pytest.raises(GlModuleError) as err:
+                custom_module(2, rho)
+            assert f"(i,j,k,l)=({','.join(map(str, failing))})" in str(err.value)
+
 
 class TestEvaluate:
     def test_single_generator(self):
@@ -117,6 +212,24 @@ class TestEvaluate:
     def test_out_of_range_symbol(self):
         with pytest.raises(ValueError):
             evaluate(UEAElement.generator((3, 1)), exterior_power(2, 1))
+
+    def test_out_of_range_symbol_after_shared_prefix(self):
+        words = {((1, 2), (2, 1)): Fraction(1), ((1, 2), (1, 3)): Fraction(1, 2)}
+        with pytest.raises(ValueError):
+            evaluate(UEAElement(words), exterior_power(2, 1))
+
+    def test_empty_element_is_zero_matrix(self):
+        for m in (exterior_power(3, 2), symmetric_square(2)):
+            assert evaluate(UEAElement({}), m) == zero_matrix(m.dim)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(WORD_MODULES).flatmap(
+        lambda m: st.tuples(st.just(m), word_sums(m.N))))
+    def test_equals_word_by_word_reference(self, case):
+        m, el = case
+        got = evaluate(el, m)
+        assert got == reference_evaluate(el, m)
+        assert all(type(x) is Fraction for row in got for x in row)
 
 
 class TestCasimir:
@@ -227,6 +340,11 @@ class TestExceptionalCheck:
         report = exceptional_check(m)
         assert not report.omega1_in_range
         assert report.verdict == "not exceptional"
+
+
+def test_central_character_table_n4_matches_recorded_reference():
+    expected = json.loads(EXPECTED.read_text())["tables"]["4"]
+    assert central_character_table(4) == expected
 
 
 class TestStabilizerSum:

@@ -159,6 +159,20 @@ class TestLocalized:
         with pytest.raises(ValueError):
             sphere_loc.element(X, 1) + other.element(Y, 1)
 
+    def test_separately_built_equal_rings_compare_equal(self, sphere_loc):
+        qring = QuotientRing(buchberger(Ideal(RING, (SPHERE,))))
+        twin = Localization(qring, qring.element(Z))
+        assert qring is not sphere_loc.qring and qring == sphere_loc.qring
+        assert twin is not sphere_loc and twin == sphere_loc
+        assert qring.element(X) + sphere_loc.qring.element(Y) == qring.element(X + Y)
+        assert twin.element(X, 1) + sphere_loc.element(Y, 1) == sphere_loc.element(X + Y, 1)
+
+    def test_mismatched_quotient_rings_rejected(self, sphere_loc):
+        other = QuotientRing(buchberger(Ideal(RING, (X * Y - 1,))))
+        assert other != sphere_loc.qring
+        with pytest.raises(ValueError):
+            other.element(X) + sphere_loc.qring.element(Y)
+
     def test_equality_is_equivalence(self, sphere_loc):
         rng = random.Random(3)
         elems = []

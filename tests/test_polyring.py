@@ -64,6 +64,14 @@ class TestArithmetic:
         with pytest.raises(RingMismatchError):
             X + other.var("a")
 
+    def test_separately_built_equal_rings_mix(self):
+        twin = PolyRing(("x", "y", "z"), degree_cap=8)
+        assert twin is not RING and twin == RING
+        assert X + twin.var("y") == X + Y
+        assert X * twin.var("z") == X * Z
+        with pytest.raises(RingMismatchError):
+            X * PolyRing(("x", "z", "y")).var("y")
+
     def test_degree_cap_overflow(self):
         small = PolyRing(("x",), degree_cap=4)
         p = small.var("x") ** 2
