@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 from . import gauge as gauge_mod
 from .glrep import GlModule, UEAElement, identity, mat_scale
 from .groebner import LocalizedElement
-from .linalg import rank
+from .linalg import Combination, add_term, rank
 from .variety import Chart, Variety, circle_variety
 
 Key = tuple[str, int]  # ("v" | "u", index)
@@ -37,55 +37,30 @@ class IndexWindowError(RuntimeError):
     """Raised when an index leaves the configured support window."""
 
 
-class CircleElement:
+class CircleElement(Combination):
     """A finitely supported rational combination of the v_k and u_k."""
 
-    __slots__ = ("alpha", "terms", "window")
+    __slots__ = ("alpha", "window")
 
     def __init__(self, alpha: Fraction, terms: Mapping[Key, Fraction],
                  window: int = DEFAULT_WINDOW):
         self.alpha = Fraction(alpha)
         self.window = window
-        self.terms: dict[Key, Fraction] = {}
-        for (sym, k), c in terms.items():
+        for sym, k in terms:
             if sym not in ("v", "u"):
                 raise ValueError(f"unknown symbol {sym!r}")
             if abs(k) > window:
                 raise IndexWindowError(
                     f"index {k} outside the support window [-{window}, {window}]"
                 )
-            if c:
-                self.terms[(sym, k)] = Fraction(c)
+        super().__init__({key: Fraction(c) for key, c in terms.items()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def space(self) -> Fraction:
+        return self.alpha
 
-    def __add__(self, other: "CircleElement") -> "CircleElement":
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return CircleElement(self.alpha, out, self.window)
-
-    def __sub__(self, other: "CircleElement") -> "CircleElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: Fraction | int) -> "CircleElement":
-        return CircleElement(self.alpha,
-                             {k: c * v for k, v in self.terms.items()}, self.window)
-
-    def _check(self, other: "CircleElement") -> None:
-        if self.alpha != other.alpha:
-            raise ValueError("elements from modules with different alpha")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CircleElement):
-            return NotImplemented
-        return self.alpha == other.alpha and self.terms == other.terms
+    def _like(self, terms: Mapping[Key, Fraction]) -> "CircleElement":
+        return CircleElement(self.alpha, terms, self.window)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -112,33 +87,17 @@ def basis_u(alpha: Fraction | int, k: int, window: int = DEFAULT_WINDOW) -> Circ
 
 def act_e(n: int, x: CircleElement) -> CircleElement:
     """Apply the vector field e_n = t^(n+1) d/dt."""
-    alpha = x.alpha
     out: dict[Key, Fraction] = {}
-
-    def add(key: Key, c: Fraction) -> None:
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-
     for (sym, k), c in x.terms.items():
-        lam = (k + alpha * n) * c
-        if sym == "v":
-            if lam:
-                add(("v", n + k), lam)
-            add(("u", n + k), c)
-        else:
-            if lam:
-                add(("u", n + k), lam)
-            add(("v", n + k + 1), c)
-    return CircleElement(alpha, out, x.window)
+        add_term(out, (sym, n + k), (k + x.alpha * n) * c)
+        add_term(out, ("u", n + k) if sym == "v" else ("v", n + k + 1), c)
+    return CircleElement(x.alpha, out, x.window)
 
 
 def apply_word(w: UEAElement, x: CircleElement) -> CircleElement:
     """Apply a word sum, rightmost generator first; scalars multiply."""
     total = CircleElement(x.alpha, {}, x.window)
-    for word, coeff in w.words.items():
+    for word, coeff in w.terms.items():
         y = x
         for n in reversed(word):
             y = act_e(n, y)
@@ -326,8 +285,7 @@ def to_gauge_element(cg: CircleGauge, x: CircleElement) -> gauge_mod.GaugeElemen
     terms: dict[int, LocalizedElement] = {}
     for (sym, k), c in x.terms.items():
         idx = 0 if sym == "v" else 1
-        contrib = _laurent(loc, ring, k) * c
-        terms[idx] = terms[idx] + contrib if idx in terms else contrib
+        add_term(terms, idx, _laurent(loc, ring, k) * c)
     return cg.space.element(terms)
 
 

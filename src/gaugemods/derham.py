@@ -21,60 +21,38 @@ from typing import Mapping, Sequence
 
 from .gauge import CheckResult
 from .groebner import LocalizedElement
-from .linalg import solve as _solve_exact
+from .linalg import Combination, add_term, solve as _solve_exact
 from .polyring import Polynomial, PolyRing
 from .variety import Chart
 
 Subset = tuple[int, ...]
 
 
-class FormElement:
+class FormElement(Combination):
     """A degree-k element: finitely many wedge terms with localized coefficients."""
 
-    __slots__ = ("chart", "degree", "terms")
+    __slots__ = ("chart", "degree")
 
     def __init__(self, chart: Chart, degree: int,
                  terms: Mapping[Subset, LocalizedElement]):
         n = len(chart.parameters)
         if not 0 <= degree <= n:
             raise ValueError(f"degree {degree} out of range for {n} parameters")
-        self.chart = chart
-        self.degree = degree
-        self.terms: dict[Subset, LocalizedElement] = {}
-        for subset, coeff in terms.items():
+        for subset in terms:
             if len(subset) != degree or list(subset) != sorted(set(subset)):
                 raise ValueError(f"wedge index {subset} is not an increasing {degree}-subset")
             if any(not 0 <= i < n for i in subset):
                 raise ValueError(f"wedge index {subset} out of range")
-            if not coeff.is_zero():
-                self.terms[subset] = coeff
+        self.chart = chart
+        self.degree = degree
+        super().__init__(terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def space(self) -> tuple[Chart, int]:
+        return self.chart, self.degree
 
-    def __add__(self, other: "FormElement") -> "FormElement":
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degrees")
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out[s] + c if s in out else c
-        return FormElement(self.chart, self.degree, out)
-
-    def __sub__(self, other: "FormElement") -> "FormElement":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c: "LocalizedElement | Fraction | int") -> "FormElement":
-        return FormElement(self.chart, self.degree,
-                           {s: v * c for s, v in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FormElement):
-            return NotImplemented
-        if self.degree != other.degree:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        zero = self.chart.localization.zero()
-        return all(self.terms.get(k, zero) == other.terms.get(k, zero) for k in keys)
+    def _like(self, terms: Mapping[Subset, LocalizedElement]) -> "FormElement":
+        return FormElement(self.chart, self.degree, terms)
 
     def render(self) -> str:
         if not self.terms:
@@ -123,18 +101,12 @@ def act_form(B: Sequence[LocalizedElement], eta: Sequence[LocalizedElement],
     frame = chart.frame
     params = chart.parameters
     out: dict[Subset, LocalizedElement] = {}
-
-    def accumulate(s: Subset, v: LocalizedElement) -> None:
-        out[s] = out[s] + v if s in out else v
-
     tau_eta = [[frame.derive(p, fi) for p in params] for fi in eta]
     for subset, g in x.terms.items():
         for i, fi in enumerate(eta):
             if not fi.is_zero():
                 dg = frame.derive(params[i], g)
-                total = fi * dg + B[i] * fi * g
-                if not total.is_zero():
-                    accumulate(subset, total)
+                add_term(out, subset, fi * dg + B[i] * fi * g)
             for p in range(len(params)):
                 df = tau_eta[i][p]
                 if df.is_zero():
@@ -143,7 +115,7 @@ def act_form(B: Sequence[LocalizedElement], eta: Sequence[LocalizedElement],
                 if hit is None:
                     continue
                 sign, target = hit
-                accumulate(target, g * df * sign)
+                add_term(out, target, g * df * sign)
     return FormElement(chart, x.degree, out)
 
 
@@ -164,8 +136,7 @@ def d(B: Sequence[LocalizedElement], x: FormElement) -> FormElement:
             if hit is None:
                 continue
             sign, merged = hit
-            add = coeff * sign
-            out[merged] = out[merged] + add if merged in out else add
+            add_term(out, merged, coeff * sign)
     return FormElement(chart, x.degree + 1, out)
 
 
@@ -237,7 +208,9 @@ def gaussian_obstruction(N: int, D: int, scale: Fraction | int = Fraction(-2)) -
     unknowns = [(i, e) for i in range(N) for e in monomials]
     col = {u: c for c, u in enumerate(unknowns)}
 
-    rows: dict[tuple[int, ...], list[Fraction]] = {}
+    one = (0,) * N
+    # the target monomial 1 keeps its equation even when no unknown reaches it (D = 0)
+    rows: dict[tuple[int, ...], list[Fraction]] = {one: [Fraction(0)] * len(unknowns)}
 
     def row_of(e: tuple[int, ...]) -> list[Fraction]:
         if e not in rows:
@@ -256,10 +229,9 @@ def gaussian_obstruction(N: int, D: int, scale: Fraction | int = Fraction(-2)) -
                 se = e[:i] + (e[i] + 1,) + e[i + 1:]
                 row_of(se)[c] += scale
 
-    target = {(0,) * N: Fraction(1)}
     eqs = sorted(rows)
     matrix = [rows[e] for e in eqs]
-    rhs = [target.get(e, Fraction(0)) for e in eqs]
+    rhs = [Fraction(1 if e == one else 0) for e in eqs]
     solution = _solve_exact(matrix, rhs)
     if solution is None:
         return ObstructionResult("INFEASIBLE_UP_TO_D", N, D, scale, None)

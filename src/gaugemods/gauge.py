@@ -18,12 +18,12 @@ property or the compatibility with multiplication by functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .glrep import GlModule
-from .groebner import LocalizedElement
-from .variety import Chart
+from .groebner import Localization, LocalizedElement
+from .linalg import Combination, add_term
+from .variety import Chart, chart_apply
 
 LocMatrix = tuple[tuple[LocalizedElement, ...], ...]
 
@@ -143,38 +143,21 @@ class GaugeField:
         return results
 
 
-class GaugeElement:
-    """A finitely supported sum of coefficients against the U basis."""
+class GaugeElement(Combination):
+    """A finitely supported sum of coefficients in A_(h) against the U basis."""
 
-    __slots__ = ("loc", "terms")
+    __slots__ = ("loc",)
 
-    def __init__(self, loc, terms: Mapping[int, LocalizedElement]):
+    def __init__(self, loc: Localization, terms: Mapping[int, LocalizedElement]):
         self.loc = loc
-        self.terms: dict[int, LocalizedElement] = {
-            k: v for k, v in terms.items() if not v.is_zero()
-        }
+        super().__init__(terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def space(self) -> Localization:
+        return self.loc
 
-    def __add__(self, other: "GaugeElement") -> "GaugeElement":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out[k] + v if k in out else v
-        return GaugeElement(self.loc, out)
-
-    def __sub__(self, other: "GaugeElement") -> "GaugeElement":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c: "LocalizedElement | Fraction | int") -> "GaugeElement":
-        return GaugeElement(self.loc, {k: v * c for k, v in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GaugeElement):
-            return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        zero = self.loc.zero()
-        return all(self.terms.get(k, zero) == other.terms.get(k, zero) for k in keys)
+    def _like(self, terms: Mapping[int, LocalizedElement]) -> "GaugeElement":
+        return GaugeElement(self.loc, terms)
 
     def render(self, labels: Sequence[str]) -> str:
         if not self.terms:
@@ -240,15 +223,6 @@ class GaugeModule:
 
     # -- actions ---------------------------------------------------------------
 
-    def eta_apply(self, eta: Sequence[LocalizedElement], f: LocalizedElement) -> LocalizedElement:
-        """The derivation eta = sum f_i tau_i applied to a function."""
-        frame = self.chart.frame
-        out = self.loc.zero()
-        for fi, param in zip(eta, self.chart.parameters):
-            if not fi.is_zero():
-                out = out + fi * frame.derive(param, f)
-        return out
-
     def act(self, eta: Sequence[LocalizedElement], x: GaugeElement) -> GaugeElement:
         """Act by the chart derivation with coefficients eta."""
         if len(eta) != len(self.chart.parameters):
@@ -257,20 +231,16 @@ class GaugeModule:
         params = self.chart.parameters
         rho = self.module.rho
         out: dict[int, LocalizedElement] = {}
-
-        def accumulate(idx: int, val: LocalizedElement) -> None:
-            out[idx] = out[idx] + val if idx in out else val
-
         tau_eta = [[frame.derive(p, fi) for p in params] for fi in eta]
         for u, g in x.terms.items():
             for i, fi in enumerate(eta):
                 if not fi.is_zero():
                     dg = frame.derive(params[i], g)
                     if not dg.is_zero():
-                        accumulate(u, fi * dg)
+                        add_term(out, u, fi * dg)
                     fg = fi * g
                     for r, b in self.field.apply(i, u):
-                        accumulate(r, fg * b)
+                        add_term(out, r, fg * b)
                 for p in range(len(params)):
                     df = tau_eta[i][p]
                     if df.is_zero():
@@ -279,7 +249,7 @@ class GaugeModule:
                     gdf = g * df
                     for r in range(self.module.dim):
                         if mat[r][u]:
-                            accumulate(r, gdf * mat[r][u])
+                            add_term(out, r, gdf * mat[r][u])
         result = GaugeElement(self.loc, out)
         if self.oneform is not None:
             p_term = self.loc.zero()
@@ -297,7 +267,7 @@ class GaugeModule:
     def bracket_coeffs(self, eta: Sequence[LocalizedElement],
                        mu: Sequence[LocalizedElement]) -> list[LocalizedElement]:
         """Chart coefficients of [eta, mu]: eta(mu_i) - mu(eta_i)."""
-        return [self.eta_apply(eta, mi) - self.eta_apply(mu, ei)
+        return [chart_apply(self.chart, eta, mi) - chart_apply(self.chart, mu, ei)
                 for ei, mi in zip(eta, mu)]
 
     def twist(self, omega: OneForm) -> "GaugeModule":
@@ -321,7 +291,7 @@ def check_av_compat(gm: GaugeModule, eta: Sequence[LocalizedElement],
                     f: LocalizedElement, x: GaugeElement) -> CheckResult:
     """eta.(f.x) == eta(f).x + f.(eta.x), exactly."""
     lhs = gm.act(eta, gm.a_mul(f, x))
-    rhs = gm.a_mul(gm.eta_apply(eta, f), x) + gm.a_mul(f, gm.act(eta, x))
+    rhs = gm.a_mul(chart_apply(gm.chart, eta, f), x) + gm.a_mul(f, gm.act(eta, x))
     ok = lhs == rhs
     witness = "" if ok else (
         f"lhs={lhs.render(gm.module.basis_labels)} "

@@ -14,13 +14,14 @@ exact evaluation on families of modules.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .linalg import Row, sparse_row
+from .linalg import Combination, Row, add_term, sparse_row
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -237,7 +238,7 @@ def symmetric_square(N: int) -> GlModule:
 Word = tuple[Hashable, ...]
 
 
-class UEAElement:
+class UEAElement(Combination):
     """A finite rational combination of words in hashable symbols.
 
     The symbol (i, j) stands for E_ij of gl_N (see ``evaluate``); the
@@ -245,10 +246,7 @@ class UEAElement:
     word is read left to right; the empty word is the scalar 1.
     """
 
-    __slots__ = ("words",)
-
-    def __init__(self, words: Mapping[Word, Fraction]):
-        self.words: dict[Word, Fraction] = {w: c for w, c in words.items() if c != 0}
+    __slots__ = ()
 
     @classmethod
     def generator(cls, symbol: Hashable) -> "UEAElement":
@@ -258,44 +256,18 @@ class UEAElement:
     def scalar(cls, c: Fraction | int) -> "UEAElement":
         return cls({(): Fraction(c)})
 
-    def __add__(self, other: "UEAElement") -> "UEAElement":
-        out = dict(self.words)
-        for w, c in other.words.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return UEAElement(out)
-
-    def __sub__(self, other: "UEAElement") -> "UEAElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: Fraction | int) -> "UEAElement":
-        return UEAElement({w: c * v for w, v in self.words.items()})
-
     def __mul__(self, other: "UEAElement") -> "UEAElement":
         out: dict[Word, Fraction] = {}
-        for wa, ca in self.words.items():
-            for wb, cb in other.words.items():
-                w = wa + wb
-                s = out.get(w, 0) + ca * cb
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+        for wa, ca in self.terms.items():
+            for wb, cb in other.terms.items():
+                add_term(out, wa + wb, ca * cb)
         return UEAElement(out)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UEAElement):
-            return NotImplemented
-        return self.words == other.words
-
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.terms)
 
     def __repr__(self) -> str:
-        return f"UEAElement({len(self.words)} words)"
+        return f"UEAElement({len(self.terms)} words)"
 
 
 def evaluate(el: UEAElement, m: GlModule) -> Matrix:
@@ -303,7 +275,7 @@ def evaluate(el: UEAElement, m: GlModule) -> Matrix:
     E(S) = c_() * I + sum over symbols a of rho(a) * E(words of S after a)."""
     zero = Fraction(0)
     return tuple(tuple(row.get(j, zero) for j in range(m.dim))
-                 for row in _horner(el.words, m))
+                 for row in _horner(el.terms, m))
 
 
 def _horner(words: Mapping[Word, Fraction], m: GlModule) -> SparseRows:
@@ -327,8 +299,11 @@ def _horner(words: Mapping[Word, Fraction], m: GlModule) -> SparseRows:
     return sparse_sum(m.dim, terms)
 
 
+@functools.lru_cache
 def casimir(k: int, N: int) -> UEAElement:
-    """Omega_k: the cyclic sum over index tuples of E_{i1 i2}...E_{ik i1}."""
+    """Omega_k: the cyclic sum over index tuples of E_{i1 i2}...E_{ik i1}.
+
+    Cached: the result is shared, so never change its terms."""
     if k < 1:
         raise ValueError("k must be at least 1")
     words: dict[Word, Fraction] = {}
@@ -338,8 +313,11 @@ def casimir(k: int, N: int) -> UEAElement:
     return UEAElement(words)
 
 
+@functools.lru_cache
 def hat_omega(k: int, N: int, budget: int = DEFAULT_TERM_BUDGET) -> UEAElement:
-    """The fully symmetrized central sum over index tuples and permutations."""
+    """The fully symmetrized central sum over index tuples and permutations.
+
+    Cached, like ``casimir``: every module of a table evaluates the same sums."""
     if k < 2:
         raise ValueError("k must be at least 2")
     count = (N ** k) * math.factorial(k)

@@ -171,8 +171,8 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
 
     Deterministic for a fixed input and order: generators are sorted by
     leading term first, and critical pairs are processed smallest lcm
-    first.  Pairs with coprime leading terms are skipped (Buchberger's
-    first criterion).
+    first, from a heap whose keys are computed once per pair.  Pairs with
+    coprime leading terms are skipped (Buchberger's first criterion).
     """
     ring = ideal.ring
     order = order or grevlex(ring)
@@ -184,14 +184,14 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     reducers = [_reducer(g, dkey) for g in basis]
     leads = [lead for lead, _ in reducers]
 
-    def pair_key(pair: tuple[int, int]) -> tuple:
-        i, j = pair
+    def pair_key(i: int, j: int) -> tuple:
+        # unique, since it ends in (i, j): the heap pops pairs in one fixed order
         return key(_exp_lcm(leads[i], leads[j])) + (i, j)
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    pairs = [pair_key(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    heapify(pairs)
     while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.remove((i, j))
+        i, j = heappop(pairs)[-2:]
         li, lj = leads[i], leads[j]
         if _exp_lcm(li, lj) == tuple(a + b for a, b in zip(li, lj)):
             continue  # coprime leading terms: S-poly reduces to zero
@@ -203,7 +203,8 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
             reducers.append(_reducer(r, dkey))
             leads.append(reducers[-1][0])
             new = len(basis) - 1
-            pairs.update((k, new) for k in range(new))
+            for k in range(new):
+                heappush(pairs, pair_key(k, new))
 
     return GroebnerBasis(ring, order, _reduce_basis(basis, reducers, dkey), ideal.generators)
 
@@ -398,6 +399,9 @@ class LocalizedElement:
     def is_zero(self) -> bool:
         # valid because h is not a zero divisor in A
         return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
 
     def _check(self, other: "LocalizedElement") -> None:
         if self.loc != other.loc:

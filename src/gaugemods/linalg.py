@@ -1,7 +1,10 @@
-"""Exact linear algebra: cofactor determinants and elimination over QQ.
+"""Exact linear algebra: finite linear combinations, cofactor
+determinants and elimination over QQ.
 
-``det`` never divides, so it serves any ring whose elements support
-``+``, ``*`` and ``is_zero``.  ``rank`` and ``solve`` take dense
+``Combination`` is the one free-module element the package builds on:
+word sums, circle vectors, gauge elements and forms.  ``det`` never
+divides, so it serves any ring whose elements support ``+``, ``*`` and
+``is_zero``.  ``rank`` and ``solve`` take dense
 matrices, leave them unchanged, and eliminate on sparse rows with the
 Gauss-Jordan ``echelon``, so their cost follows the nonzero entries.
 """
@@ -9,9 +12,64 @@ Gauss-Jordan ``echelon``, so their cost follows the nonzero entries.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .polyring import Polynomial, PolyRing
+
+
+def add_term(out: dict, key: Hashable, value) -> None:
+    """out[key] += value; a zero value is skipped and a cancelled entry dropped."""
+    if value:
+        if key in out:
+            value = out[key] + value
+        if value:
+            out[key] = value
+        else:
+            del out[key]
+
+
+class Combination:
+    """A finite linear combination: ``terms`` maps basis keys to nonzero
+    coefficients, which support ``+``, ``*``, ``==`` and are false only at 0.
+
+    A subclass validates its keys in its constructor, names the ``space``
+    its elements live in, builds an element of that space with ``_like``,
+    and renders.  Elements of different spaces neither add nor compare
+    equal.
+    """
+
+    __slots__ = ("terms",)
+    space: Hashable = None
+
+    def __init__(self, terms: Mapping) -> None:
+        self.terms = {k: c for k, c in terms.items() if c}
+
+    def _like(self, terms: Mapping):
+        return type(self)(terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self) or other.space != self.space:
+            raise ValueError(f"{type(self).__name__}: cannot add elements of different spaces")
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            add_term(out, k, c)
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        theirs = other.terms
+        return (self.space == other.space and self.terms.keys() == theirs.keys()
+                and all(c == theirs[k] for k, c in self.terms.items()))
 
 
 def det(ring: PolyRing, matrix: list[list[Polynomial]]) -> Polynomial:

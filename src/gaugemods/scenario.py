@@ -58,9 +58,14 @@ def _require(obj: dict, key: str, types, path: str):
     if key not in obj:
         raise ScenarioError(f"{path}: missing required field {key!r}")
     value = obj[key]
-    if not isinstance(value, types):
+    if isinstance(value, bool) or not isinstance(value, types):
         raise ScenarioError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
     return value
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are bools, which Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_scenario(path: str | Path) -> dict:
@@ -93,7 +98,7 @@ def validate_scenario(scn: Any, path: str = "scenario") -> dict:
             raise ScenarioError(f"{path}.B: expected a list or null")
         if "B_potential" in scn and not isinstance(scn["B_potential"], str):
             raise ScenarioError(f"{path}.B_potential: expected an expression string")
-        if kind == "derham" and "maxDegree" in scn and not isinstance(scn["maxDegree"], int):
+        if kind == "derham" and "maxDegree" in scn and not _is_int(scn["maxDegree"]):
             raise ScenarioError(f"{path}.maxDegree: expected an integer")
     elif kind == "circle":
         alphas = scn.get("alphas", ["0"])
@@ -101,12 +106,12 @@ def validate_scenario(scn: Any, path: str = "scenario") -> dict:
             raise ScenarioError(f"{path}.alphas: expected a list of rational strings")
         for a in alphas:
             _fraction(a, f"{path}.alphas")
-        if "grid" in scn and not isinstance(scn["grid"], int):
+        if "grid" in scn and not _is_int(scn["grid"]):
             raise ScenarioError(f"{path}.grid: expected an integer")
     elif kind == "casimir_table":
         _require(scn, "N", int, path)
     for key in ("seed", "samples"):
-        if key in scn and not isinstance(scn[key], int):
+        if key in scn and not _is_int(scn[key]):
             raise ScenarioError(f"{path}.{key}: expected an integer")
     checks = scn.get("checks")
     if checks is not None and (not isinstance(checks, list)
@@ -195,7 +200,7 @@ def _localized_entry(entry, chart: Chart, path: str) -> LocalizedElement:
     if isinstance(entry, dict):
         num = _require(entry, "num", str, path)
         hpower = entry.get("hpower", 0)
-        if not isinstance(hpower, int) or hpower < 0:
+        if not _is_int(hpower) or hpower < 0:
             raise ScenarioError(f"{path}.hpower: expected a non-negative integer")
         try:
             return loc.element(parse_poly(num, ring), hpower)

@@ -330,11 +330,13 @@ def to_chart(v: Variety, chart: Chart, vf: VectorField) -> list[LocalizedElement
 
 def chart_apply(chart: Chart, coeffs: Sequence[LocalizedElement],
                 a: "LocalizedElement | QuotientElement | Polynomial") -> LocalizedElement:
-    """Apply a chart-form derivation sum_i f_i tau_i to an element of A_(h)."""
+    """Apply a chart-form derivation sum_i f_i tau_i to an element of A_(h);
+    a zero f_i costs nothing."""
     frame = chart.frame
     out = chart.localization.zero()
     for f, param in zip(coeffs, chart.parameters):
-        out = out + f * frame.derive(param, a)
+        if f:
+            out = out + f * frame.derive(param, a)
     return out
 
 

@@ -1,6 +1,9 @@
 """CLI behavior: subcommands, exit codes, report shape, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,8 @@ from gaugemods.scenario import (
 )
 
 DATA = Path(__file__).parent / "data"
-SCENARIOS = Path(__file__).parents[1] / "src" / "gaugemods" / "scenarios"
+SRC = Path(__file__).parents[1] / "src"
+SCENARIOS = SRC / "gaugemods" / "scenarios"
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +110,45 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert f"gl_{n} module, but the chart has 2 parameters" in captured.err
+
+    @pytest.mark.parametrize("file, path, value", [
+        ("derham_affine2.json", ["samples"], True),
+        ("derham_affine2.json", ["seed"], True),
+        ("derham_affine2.json", ["maxDegree"], False),
+        ("derham_sphere.json", ["chart"], True),
+        ("circle.json", ["grid"], True),
+        ("casimir_n2.json", ["N"], True),
+        ("affine2_gauge.json", ["module", "N"], True),
+        ("affine2_gauge.json", ["module", "k"], True),
+        ("affine2_gauge.json", ["B"], [{"num": "y", "hpower": True}, "x"]),
+    ], ids=["samples", "seed", "maxDegree", "chart", "grid", "N", "module.N", "module.k",
+            "hpower"])
+    def test_boolean_for_an_integer_exits_2(self, capsys, tmp_path, file, path, value):
+        # JSON true/false load as Python bools, which are ints
+        scn = json.loads((SCENARIOS / file).read_text())
+        target = scn
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        scenario = tmp_path / "bool.json"
+        scenario.write_text(json.dumps(scn))
+        code = main(["run", str(scenario), "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "expected" in captured.err
+
+    def test_max_degree_zero_exits_0_without_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaugemods.cli", "derham", "verify",
+             str(SCENARIOS / "derham_affine2.json"), "--max-degree", "0", "--no-timing"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        (record,) = [r for r in json.loads(proc.stdout)["checks"]
+                     if r["name"] == "derham.obstruction"]
+        assert record["status"] == "pass"
+        assert record["witness"] == {"gaussian": "INFEASIBLE_UP_TO_D", "maxDegree": 0,
+                                     "control": "FEASIBLE"}
 
     def test_empty_check_list_passes_vacuously(self, capsys, tmp_path):
         scn = json.loads((SCENARIOS / "sphere_gauge_flat.json").read_text())

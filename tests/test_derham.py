@@ -256,6 +256,11 @@ class TestObstruction:
         result = gaussian_obstruction(1, 2)
         assert result.scale == Fraction(-2) and result.N == 1 and result.max_degree == 2
 
+    @pytest.mark.parametrize("args", [(2, 0), (1, 0, 0)])
+    def test_degree_zero_is_infeasible(self, args):
+        # no unknown reaches the target 1 at D = 0; its equation must still be there
+        assert gaussian_obstruction(*args).status == "INFEASIBLE_UP_TO_D"
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             gaussian_obstruction(0, 3)

@@ -45,7 +45,7 @@ EXPECTED = Path(__file__).parents[1] / "perfbench" / "references" / "expected.js
 def reference_evaluate(el, m):
     """Word by word: each word a product of dense rho matrices."""
     total = zero_matrix(m.dim)
-    for word, coeff in el.words.items():
+    for word, coeff in el.terms.items():
         acc = identity(m.dim)
         for (i, j) in word:
             if not (1 <= i <= m.N and 1 <= j <= m.N):
@@ -237,7 +237,7 @@ class TestCasimir:
         assert casimir(1, 2) == UEAElement.generator((1, 1)) + UEAElement.generator((2, 2))
 
     def test_k2_words(self):
-        assert casimir(2, 2).words == {
+        assert casimir(2, 2).terms == {
             ((1, 1), (1, 1)): Fraction(1),
             ((1, 2), (2, 1)): Fraction(1),
             ((2, 1), (1, 2)): Fraction(1),

@@ -1,14 +1,21 @@
-"""Exact linear algebra: cofactor determinants, rank and solve over QQ."""
+"""Exact linear algebra: linear combinations, cofactor determinants, rank and
+solve over QQ."""
 
 import copy
+import functools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugemods.linalg import det, rank, solve
-from gaugemods.variety import Variety
+from gaugemods.circle import CircleElement
+from gaugemods.derham import FormElement
+from gaugemods.gauge import GaugeField, GaugeModule
+from gaugemods.glrep import UEAElement, exterior_power
+from gaugemods.linalg import add_term, det, rank, solve
+from gaugemods.variety import Variety, sphere_variety
 
 from test_polyring import RING, SPHERE, X, Y, Z
 
@@ -182,3 +189,131 @@ def test_solve_and_rank_leave_arguments_unchanged():
     rank(matrix)
     solve(matrix, rhs)
     assert (matrix, rhs) == before
+
+
+# -- Combination: word sums, circle vectors, gauge elements and forms ------------
+
+@functools.cache
+def _sphere_chart():
+    return sphere_variety().charts[0]
+
+
+@functools.cache
+def _localized_pool():
+    """Localized coefficients on a sphere chart, each also written with its
+    numerator and denominator multiplied by h, so equal values differ in form."""
+    chart = _sphere_chart()
+    loc, ring = chart.localization, chart.variety.ring
+    h = loc.h.rep
+    pool = []
+    for c in (1, -1, 2):
+        for mono in (ring.one(), ring.var("x"), ring.var("y") * ring.var("z")):
+            for p in (0, 1):
+                pool.append(loc.element(mono * c, p))
+                pool.append(loc.element(mono * h * c, p + 1))
+    return pool
+
+
+def _fraction_space(make, keys):
+    coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    return make, keys, coeffs, coeffs, Fraction(0), lambda c: c == 0
+
+
+def _localized_space(make, keys):
+    coeffs = st.sampled_from(_localized_pool())
+    scalars = st.one_of(coeffs, st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+    return make, keys, coeffs, scalars, _sphere_chart().localization.zero(), \
+        lambda c: c.is_zero()
+
+
+def _space(kind):
+    symbols = st.sampled_from([(1, 1), (1, 2), (2, 1)])
+    if kind == "uea":
+        return _fraction_space(UEAElement, st.lists(symbols, max_size=2).map(tuple))
+    if kind == "circle":
+        return _fraction_space(lambda t: CircleElement(Fraction(1, 2), t),
+                               st.tuples(st.sampled_from("vu"), st.integers(-3, 3)))
+    chart = _sphere_chart()
+    if kind == "gauge":
+        gm = GaugeModule(chart, exterior_power(2, 1), GaugeField.zero(chart, 2))
+        return _localized_space(gm.element, st.integers(0, 1))
+    return _localized_space(lambda t: FormElement(chart, 1, t),
+                            st.sampled_from([(0,), (1,)]))
+
+
+def _ref_sum(a, b, zero, is_zero):
+    out = {k: a.get(k, zero) + b.get(k, zero) for k in a.keys() | b.keys()}
+    return {k: c for k, c in out.items() if not is_zero(c)}
+
+
+def _matches(terms, ref):
+    return terms.keys() == ref.keys() and all(terms[k] == ref[k] for k in ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["uea", "circle", "gauge", "form"]), st.data())
+def test_combination_arithmetic_matches_plain_dicts(kind, data):
+    make, keys, coeffs, scalars, zero, is_zero = _space(kind)
+    a = data.draw(st.dictionaries(keys, coeffs, max_size=4))
+    # b is often a with some coefficients changed, so sums cancel and == can hold
+    b = dict(a) if data.draw(st.booleans()) else {}
+    b.update(data.draw(st.dictionaries(keys, coeffs, max_size=2)))
+    s = data.draw(scalars)
+    x, y = make(a), make(b)
+    nonzero = {k: c for k, c in a.items() if not is_zero(c)}
+    assert _matches(x.terms, nonzero)
+    assert _matches((x + y).terms, _ref_sum(a, b, zero, is_zero))
+    minus_b = {k: c * -1 for k, c in b.items()}
+    assert _matches((x - y).terms, _ref_sum(a, minus_b, zero, is_zero))
+    scaled = {k: c * s for k, c in a.items()}
+    assert _matches(x.scale(s).terms, _ref_sum(scaled, {}, zero, is_zero))
+    assert (x == y) == all(a.get(k, zero) == b.get(k, zero) for k in a.keys() | b.keys())
+    assert (x - x).is_zero() and x == make(dict(a))
+    assert not any(is_zero(c) for c in (x + y).terms.values())
+
+
+def test_add_term_skips_zero_and_drops_cancelled_entries():
+    out = {"a": Fraction(1)}
+    add_term(out, "b", Fraction(0))
+    assert out == {"a": 1}
+    add_term(out, "a", Fraction(-1))
+    assert out == {}
+    add_term(out, "c", Fraction(2, 3))
+    assert out == {"c": Fraction(2, 3)}
+
+
+def test_elements_of_two_charts_neither_add_nor_compare_equal(sphere):
+    first, second = sphere.charts[:2]
+    one1, one2 = first.localization.one(), second.localization.one()
+    g1, g2 = (GaugeModule(c, exterior_power(2, 1), GaugeField.zero(c, 2))
+              for c in (first, second))
+    with pytest.raises(ValueError):
+        g1.basis_element(one1, 0) + g2.basis_element(one2, 1)
+    with pytest.raises(ValueError):
+        g1.zero() - g2.basis_element(one2, 0)
+    assert g1.zero() != g2.zero()
+    f1 = FormElement(first, 1, {(0,): one1})
+    f2 = FormElement(second, 1, {(1,): one2})
+    with pytest.raises(ValueError):
+        f1 + f2
+    with pytest.raises(ValueError):
+        FormElement(first, 1, {}) + f2
+    assert FormElement(first, 1, {}) != FormElement(second, 1, {})
+
+
+def test_forms_of_two_degrees_and_circles_of_two_alphas_do_not_mix(sphere):
+    chart = sphere.charts[0]
+    one = chart.localization.one()
+    with pytest.raises(ValueError):
+        FormElement(chart, 0, {(): one}) + FormElement(chart, 1, {(0,): one})
+    assert FormElement(chart, 0, {}) != FormElement(chart, 1, {})
+    with pytest.raises(ValueError):
+        CircleElement(Fraction(0), {}) + CircleElement(Fraction(1), {("v", 0): 1})
+    assert CircleElement(Fraction(0), {}) != CircleElement(Fraction(1), {})
+
+
+def test_localized_element_is_true_when_its_numerator_is_nonzero(sphere):
+    loc = sphere.charts[0].localization
+    x = sphere.ring.var("x")
+    assert not loc.zero() and not loc.element(x - x, 3)
+    assert loc.one() and loc.element(x, 2)
