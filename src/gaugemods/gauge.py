@@ -213,10 +213,14 @@ class GaugeModule:
     # -- element constructors ------------------------------------------------
 
     def element(self, terms: Mapping[int, LocalizedElement]) -> GaugeElement:
+        for index in terms:
+            if not (isinstance(index, int) and 0 <= index < self.module.dim):
+                raise ValueError(f"basis index {index!r} is out of range for a module "
+                                 f"of dimension {self.module.dim}")
         return GaugeElement(self.loc, terms)
 
     def basis_element(self, coeff: LocalizedElement, index: int) -> GaugeElement:
-        return GaugeElement(self.loc, {index: coeff})
+        return self.element({index: coeff})
 
     def zero(self) -> GaugeElement:
         return GaugeElement(self.loc, {})

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 from typing import Callable, Mapping, Sequence
@@ -410,10 +411,14 @@ class LocalizedElement:
     def __add__(self, other) -> "LocalizedElement":
         other = self._coerce(other)
         self._check(other)
+        if not other:
+            return self
+        if not self:
+            return other
         p, q = self.hpower, other.hpower
-        m = max(p, q)
-        num = self.num * self.loc.hpow(m - p) + other.num * self.loc.hpow(m - q)
-        return LocalizedElement(self.loc, num, m)
+        a = self.num * self.loc.hpow(q - p) if p < q else self.num
+        b = other.num * self.loc.hpow(p - q) if q < p else other.num
+        return LocalizedElement(self.loc, a + b, max(p, q))
 
     __radd__ = __add__
 
@@ -443,8 +448,8 @@ class LocalizedElement:
         if not isinstance(other, LocalizedElement):
             return NotImplemented
         self._check(other)
-        lhs = self.num * other.loc.hpow(other.hpower)
-        rhs = other.num * self.loc.hpow(self.hpower)
+        lhs = self.num * other.loc.hpow(other.hpower) if other.hpower else self.num
+        rhs = other.num * self.loc.hpow(self.hpower) if self.hpower else other.num
         return lhs == rhs
 
     def __hash__(self) -> int:
@@ -472,13 +477,28 @@ class TauDerivation:
     var: str
     corrections: Mapping[str, LocalizedElement]
 
-    def apply_poly(self, p: Polynomial) -> LocalizedElement:
-        out = self.loc.element(p.partial(self.var))
+    def apply_poly(self, p: "QuotientElement | Polynomial") -> LocalizedElement:
+        """tau(p) for p in A.  The partials of a normal form are normal forms
+        (a divisor of a standard monomial is standard) and are used as they
+        are; the partials of a raw Polynomial, a generator say, are reduced."""
+        if isinstance(p, QuotientElement):
+            if p.qring != self.loc.qring:
+                raise ValueError("element of a different quotient ring")
+            qring, p = self.loc.qring, p.rep
+            lift = lambda dp: LocalizedElement(self.loc, QuotientElement(qring, dp), 0)
+        else:
+            lift = self.loc.element
+        out = lift(p.partial(self.var))
         for name, coeff in self.corrections.items():
             dp = p.partial(name)
             if not dp.is_zero():
-                out = out + coeff * self.loc.element(dp)
+                out = out + coeff * lift(dp)
         return out
+
+    @cached_property
+    def tau_h(self) -> LocalizedElement:
+        """tau(h), computed once per derivation."""
+        return self.apply_poly(self.loc.h)
 
     def __call__(self, a: "LocalizedElement | QuotientElement | Polynomial") -> LocalizedElement:
         return loc_partial(self.loc.element(a) if not isinstance(a, LocalizedElement) else a, self)
@@ -490,10 +510,10 @@ def loc_partial(a: LocalizedElement, tau: TauDerivation) -> LocalizedElement:
     For a = n / h^p:  tau(a) = tau(n)/h^p - p * n * tau(h) / h^(p+1).
     """
     loc = a.loc
-    d_num = tau.apply_poly(a.num.rep)
+    d_num = tau.apply_poly(a.num)
     out = LocalizedElement(loc, d_num.num, d_num.hpower + a.hpower)
     if a.hpower:
-        d_h = tau.apply_poly(loc.h.rep)
+        d_h = tau.tau_h
         correction = LocalizedElement(
             loc, a.num * d_h.num * Fraction(-a.hpower), a.hpower + 1 + d_h.hpower
         )

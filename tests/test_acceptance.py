@@ -37,8 +37,6 @@ from gaugemods.glrep import (
     evaluate,
     exterior_power,
     hat_omega,
-    is_zero_matrix,
-    mat_commutator,
     scalar_of,
     stabilizer_sum,
     symmetric_square,
@@ -46,6 +44,8 @@ from gaugemods.glrep import (
 from gaugemods.groebner import Ideal, buchberger, is_member, is_unit_ideal
 from gaugemods.polyring import PolyRing
 from gaugemods.variety import bracket, sphere_variety, to_chart
+
+from dense_matrices import is_zero_matrix, mat_commutator
 
 # the recorded report of ``run --bundled --no-timing``; read here, never written
 BUNDLED_REPORT = Path(__file__).parents[1] / "perfbench" / "references" / "bundled_report.json"

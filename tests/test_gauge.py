@@ -244,3 +244,16 @@ def test_gauge_element_drops_zero_coefficients(affine1):
     gm = GaugeModule(chart, exterior_power(1, 1), GaugeField.zero(chart, 1))
     elem = gm.element({0: loc.zero()})
     assert elem.is_zero() and elem.terms == {}
+
+
+@pytest.mark.parametrize("index", [5, 2, -1])
+def test_basis_index_outside_the_module_is_rejected(affine2, index):
+    chart = affine2.charts[0]
+    loc = chart.localization
+    gm = GaugeModule(chart, exterior_power(2, 1), GaugeField.zero(chart, 2))
+    message = f"basis index {index} is out of range for a module of dimension 2"
+    with pytest.raises(ValueError, match=message):
+        gm.element({index: loc.one()})
+    with pytest.raises(ValueError, match=message):
+        gm.basis_element(loc.one(), index)
+    assert gm.basis_element(loc.one(), 1).terms.keys() == {1}

@@ -23,10 +23,6 @@ from gaugemods.glrep import (
     exterior_power,
     hat_omega,
     identity,
-    is_zero_matrix,
-    mat_add,
-    mat_commutator,
-    mat_mul,
     mat_scale,
     mat_sub,
     p_poly_matrix,
@@ -34,9 +30,10 @@ from gaugemods.glrep import (
     stabilizer_sum,
     symmetric_square,
     trivial_module,
-    zero_matrix,
 )
 from gaugemods.scenario import central_character_table
+
+from dense_matrices import is_zero_matrix, mat_add, mat_commutator, mat_mul, zero_matrix
 
 # Casimir tables recorded for the benchmark; read here, never written
 EXPECTED = Path(__file__).parents[1] / "perfbench" / "references" / "expected.json"
