@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Sequence
 
 from .gauge import CheckResult
+from .glrep import BudgetExceededError
 from .groebner import LocalizedElement
 from .linalg import Combination, add_term, solve as _solve_exact
 from .polyring import Polynomial, PolyRing
@@ -191,15 +193,22 @@ class ObstructionResult:
         return self.status == "FEASIBLE"
 
 
-def gaussian_obstruction(N: int, D: int, scale: Fraction | int = Fraction(-2)) -> ObstructionResult:
+def gaussian_obstruction(N: int, D: int, scale: Fraction | int = Fraction(-2),
+                         budget: int = 2_000_000) -> ObstructionResult:
     """Decide whether sum_i (df_i/dx_i + scale * x_i * f_i) = 1 has a
     polynomial solution with deg f_i <= D, by exact linear elimination.
 
     scale = -2 is the Gaussian-weight top-form obstruction; scale = 0 is
-    the control problem solved by divergence (f_1 = x_1).
+    the control problem solved by divergence (f_1 = x_1).  The system has
+    N * C(N+D, N) unknowns and at most C(N+D+1, N) equations; a larger
+    product than ``budget`` raises ``BudgetExceededError``.
     """
     if N < 1 or D < 0:
         raise ValueError("need N >= 1 and D >= 0")
+    entries = N * comb(N + D, N) * comb(N + D + 1, N)
+    if entries > budget:
+        raise BudgetExceededError(
+            f"obstruction for N={N}, D={D} needs {entries} matrix entries; budget {budget}")
     scale = Fraction(scale)
     ring = PolyRing(tuple(f"x{i + 1}" for i in range(N)), max(D + 2, 4))
 

@@ -26,6 +26,7 @@ from .polyring import (
     MonomialOrder,
     Polynomial,
     PolyRing,
+    _check_degree,
     grevlex,
     leading_term,
     render,
@@ -63,22 +64,25 @@ def _exp_lcm(a: Exponents, b: Exponents) -> Exponents:
 
 Key = Callable[[Exponents], tuple]
 # A basis element prepared for division: its leading exponents, and its other
-# terms with their coefficients scaled by -1/(leading coefficient).
-Reducer = tuple[Exponents, tuple[tuple[Exponents, Fraction], ...]]
+# terms with their coefficients scaled by -1/(leading coefficient), each an int
+# where that is exact and a Fraction otherwise.
+Reducer = tuple[Exponents, tuple[tuple[Exponents, int | Fraction], ...]]
 
 
 def _monic(p: Polynomial, dkey: Key) -> Polynomial:
-    c = p.terms[min(p.terms, key=dkey)]
-    return p if c == 1 else p * (1 / c)
+    c = p.num[min(p.num, key=dkey)]
+    return p if c == p.den else p * Fraction(p.den, c)
 
 
 def _reducer(g: Polynomial, dkey: Key) -> Reducer:
-    lead = min(g.terms, key=dkey)
-    scale = -1 / g.terms[lead]
-    return lead, tuple((e, c * scale) for e, c in g.terms.items() if e != lead)
+    lead = min(g.num, key=dkey)
+    lc = g.num[lead]
+    return lead, tuple((e, -c // lc if c % lc == 0 else Fraction(-c, lc))
+                       for e, c in g.num.items() if e != lead)
 
 
-def _reduce(p: Polynomial, reducers: Sequence[Reducer], dkey: Key) -> Polynomial:
+def _reduce(p: Polynomial, reducers: Sequence[Reducer], dkey: Key,
+            integral: bool = False) -> Polynomial:
     """Remainder of multivariate division of p by the basis.
 
     The largest remaining term is divided by the first reducer, in basis
@@ -87,11 +91,15 @@ def _reduce(p: Polynomial, reducers: Sequence[Reducer], dkey: Key) -> Polynomial
     that cancels keeps its entry with coefficient 0 and is skipped when
     popped: every term a step adds is below the term it removes, so a
     popped monomial never comes back.
+
+    Division is linear, so it runs on p's numerators and divides by p's
+    denominator once at the end.  With ``integral`` reducers (all int
+    tails) every remainder coefficient is an int.
     """
-    work = dict(p.terms)
+    work = dict(p.num)
     heap = [(dkey(e), e) for e in work]
     heapify(heap)
-    remainder: dict[Exponents, Fraction] = {}
+    remainder: dict[Exponents, int | Fraction] = {}
     while heap:
         e = heappop(heap)[1]
         c = work.pop(e)
@@ -112,7 +120,11 @@ def _reduce(p: Polynomial, reducers: Sequence[Reducer], dkey: Key) -> Polynomial
                 break
         else:
             remainder[e] = c
-    return Polynomial._own(p.ring, remainder)
+    if integral:
+        _check_degree(p.ring, remainder)
+        return Polynomial._own(p.ring, remainder, p.den)
+    r = Polynomial(p.ring, remainder)
+    return Polynomial._own(p.ring, r.num, r.den * p.den)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -142,13 +154,14 @@ class GroebnerBasis:
         self.generators = tuple(generators)
         self._dkey = order.descending_key(ring)
         self._reducers = tuple(_reducer(g, self._dkey) for g in self.basis)
+        self._integral = all(type(c) is int for _, tail in self._reducers for _, c in tail)
 
     def reduce(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
             raise ValueError("polynomial from a different ring")
         if not self.basis or p.is_zero():
             return p
-        return _reduce(p, self._reducers, self._dkey)
+        return _reduce(p, self._reducers, self._dkey, self._integral)
 
     def contains(self, p: Polynomial) -> bool:
         return self.reduce(p).is_zero()
@@ -181,7 +194,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     dkey = order.descending_key(ring)
 
     basis = [_monic(g, dkey) for g in ideal.generators]
-    basis.sort(key=lambda g: dkey(min(g.terms, key=dkey)), reverse=True)
+    basis.sort(key=lambda g: dkey(min(g.num, key=dkey)), reverse=True)
     reducers = [_reducer(g, dkey) for g in basis]
     leads = [lead for lead, _ in reducers]
 
@@ -229,7 +242,7 @@ def _reduce_basis(basis: list[Polynomial], reducers: list[Reducer],
             g = _reduce(g, others, dkey)
         if not g.is_zero():
             reduced.append(_monic(g, dkey))
-    reduced.sort(key=lambda g: dkey(min(g.terms, key=dkey)))
+    reduced.sort(key=lambda g: dkey(min(g.num, key=dkey)))
     return reduced
 
 
@@ -311,6 +324,8 @@ class QuotientElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QuotientElement":
+        if n < 0:
+            raise ValueError("negative powers are not elements of the quotient ring")
         out = self.qring.one()
         for _ in range(n):
             out = out * self
@@ -359,6 +374,8 @@ class Localization:
                 raise ValueError("element of a different localization")
             return LocalizedElement(self, numerator.num, numerator.hpower + hpower)
         if isinstance(numerator, QuotientElement):
+            if numerator.qring is not self.qring and numerator.qring != self.qring:
+                raise ValueError("element of a different quotient ring")
             num = numerator
         elif isinstance(numerator, Polynomial):
             num = self.qring.element(numerator)

@@ -1,10 +1,10 @@
 """Sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a map from exponent vectors to nonzero ``Fraction``
-coefficients, attached to a ring descriptor that fixes the variable
-names.  All arithmetic is exact; there is no floating point anywhere.
-Values are immutable after construction, so they are safe to share
-between threads and to use as dictionary keys.
+A polynomial is a map from exponent vectors to nonzero integer
+numerators over one positive common denominator, attached to a ring
+descriptor that fixes the variable names.  All arithmetic is exact; there
+is no floating point anywhere.  Values are immutable after construction,
+so they are safe to share between threads and to use as dictionary keys.
 
 Exponent vectors are plain tuples of non-negative ints, one entry per
 ring variable.  The zero polynomial has an empty term map.
@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from operator import add, itemgetter, neg
 from typing import Callable, Iterable, Mapping
 
@@ -65,62 +66,80 @@ class PolyRing:
         return self.const(1)
 
     def const(self, value: int | Fraction) -> "Polynomial":
-        c = Fraction(value)
-        if c == 0:
-            return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return self.monomial((0,) * self.nvars, value)
 
     def var(self, name: str) -> "Polynomial":
         exps = [0] * self.nvars
         exps[self.index(name)] = 1
-        return Polynomial(self, {tuple(exps): Fraction(1)})
+        return self.monomial(exps)
 
     def monomial(self, exps: Iterable[int], coeff: int | Fraction = 1) -> "Polynomial":
         e = tuple(exps)
         if len(e) != self.nvars or any(k < 0 for k in e):
             raise ValueError(f"bad exponent vector {e!r} for ring {self.variables}")
         c = Fraction(coeff)
-        return Polynomial(self, {e: c} if c else {})
+        num = {e: c.numerator} if c else {}
+        _check_degree(self, num)
+        return Polynomial._own(self, num, c.denominator)
 
 
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients.
 
+    Stored as ``num``, a map from exponents to nonzero int numerators, over
+    ``den``, one positive common denominator with gcd(den, every numerator)
+    = 1.  That form is unique, so equality is equality of ``num`` and
+    ``den``.  ``terms`` is the rational view, exponents to ``Fraction``.
+
     Supports ``+ - * **`` against other polynomials of the same ring and
-    against ints/Fractions.  Equality is structural (equal term maps).
+    against ints/Fractions.
     """
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "num", "den", "_terms", "_hash")
 
-    def __init__(self, ring: PolyRing, terms: Mapping[Exponents, Fraction]):
-        self.ring = ring
-        self.terms: dict[Exponents, Fraction] = {e: c for e, c in terms.items() if c != 0}
+    def __init__(self, ring: PolyRing, terms: Mapping[Exponents, int | Fraction]):
+        # over their least common denominator, coefficients in lowest terms
+        # have numerators with no common factor with it
+        den = lcm(*(c.denominator for c in terms.values() if c))
+        num = {e: c.numerator * (den // c.denominator) for e, c in terms.items() if c}
+        self.ring, self.num, self.den = ring, num, den
+        self._terms: dict[Exponents, Fraction] | None = None
         self._hash: int | None = None
-        _check_degree(ring, self.terms)
+        _check_degree(ring, num)
 
     @classmethod
-    def _own(cls, ring: PolyRing, terms: dict[Exponents, Fraction]) -> "Polynomial":
-        """Adopt a dict of nonzero terms that was just built and that no caller keeps.
-
-        Unlike the public constructor it neither copies nor filters zeros.
-        """
+    def _own(cls, ring: PolyRing, num: dict[Exponents, int], den: int = 1) -> "Polynomial":
+        """Adopt nonzero int numerators over den >= 1, just built and kept by
+        no caller, and take out their common factor with den.  The caller
+        checks the degree cap wherever the degree can grow."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {e: c // g for e, c in num.items()}
         p = cls.__new__(cls)
-        p.ring = ring
-        p.terms = terms
-        p._hash = None
-        _check_degree(ring, terms)
+        p.ring, p.num, p.den = ring, num, den
+        p._terms = p._hash = None
         return p
+
+    @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        """Exponents to nonzero ``Fraction`` coefficients, built on first use."""
+        if self._terms is None:
+            den = self.den
+            self._terms = {e: Fraction(c, den) for e, c in self.num.items()}
+        return self._terms
 
     # -- basic queries ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.num)
 
     def coefficient(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.num.get(tuple(exps), 0), self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -134,23 +153,26 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         self._check_ring(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        # both sides over the lcm of the denominators
+        g = gcd(self.den, other.den)
+        mine, theirs = other.den // g, self.den // g
+        out = dict(self.num) if mine == 1 else {e: c * mine for e, c in self.num.items()}
+        for e, c in other.num.items():
             old = out.get(e)
             if old is None:
-                out[e] = c
+                out[e] = c * theirs
             else:
-                s = old + c
+                s = old + c * theirs
                 if s:
                     out[e] = s
                 else:
                     del out[e]
-        return Polynomial._own(self.ring, out)
+        return Polynomial._own(self.ring, out, self.den * mine)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._own(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial._own(self.ring, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -162,14 +184,15 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
+            if not other:
                 return self.ring.zero()
-            return Polynomial._own(self.ring, {e: c * v for e, v in self.terms.items()})
+            n = other.numerator
+            return Polynomial._own(self.ring, {e: c * n for e, c in self.num.items()},
+                                   self.den * other.denominator)
         self._check_ring(other)
-        out: dict[Exponents, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
+        out: dict[Exponents, int] = {}
+        for ea, ca in self.num.items():
+            for eb, cb in other.num.items():
                 e = tuple(map(add, ea, eb))
                 old = out.get(e)
                 if old is None:
@@ -180,7 +203,8 @@ class Polynomial:
                         out[e] = s
                     else:
                         del out[e]
-        return Polynomial._own(self.ring, out)
+        _check_degree(self.ring, out)
+        return Polynomial._own(self.ring, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -201,11 +225,13 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.ring.variables, frozenset(self.terms.items())))
+            # an int hashes as the Fraction of the same value
+            items = self.num.items() if self.den == 1 else self.terms.items()
+            self._hash = hash((self.ring.variables, frozenset(items)))
         return self._hash
 
     # -- calculus ----------------------------------------------------------
@@ -213,18 +239,9 @@ class Polynomial:
     def partial(self, var: str) -> "Polynomial":
         """Formal partial derivative with respect to a ring variable."""
         i = self.ring.index(var)
-        out: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            de = e[:i] + (k - 1,) + e[i + 1:]
-            s = out.get(de, 0) + c * k
-            if s:
-                out[de] = s
-            else:
-                out.pop(de, None)
-        return Polynomial._own(self.ring, out)
+        # distinct exponents with e[i] > 0 stay distinct after e[i] - 1
+        out = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.num.items() if e[i]}
+        return Polynomial._own(self.ring, out, self.den)
 
     # -- rendering -----------------------------------------------------------
 
@@ -235,7 +252,7 @@ class Polynomial:
         return f"Polynomial({render(self)!r})"
 
 
-def _check_degree(ring: PolyRing, terms: Mapping[Exponents, Fraction]) -> None:
+def _check_degree(ring: PolyRing, terms: Mapping[Exponents, int]) -> None:
     if terms:
         deg = max(map(sum, terms))
         if deg > ring.degree_cap:
@@ -299,8 +316,8 @@ def leading_term(p: Polynomial, order: MonomialOrder) -> tuple[Exponents, Fracti
     """Maximal term of a nonzero polynomial under the given order."""
     if p.is_zero():
         raise ValueError("the zero polynomial has no leading term")
-    e = min(p.terms, key=order.descending_key(p.ring))
-    return e, p.terms[e]
+    e = min(p.num, key=order.descending_key(p.ring))
+    return e, Fraction(p.num[e], p.den)
 
 
 def _render_monomial(ring: PolyRing, exps: Exponents) -> str:

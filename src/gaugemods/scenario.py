@@ -87,7 +87,10 @@ def validate_scenario(scn: Any, path: str = "scenario") -> dict:
     if kind not in KINDS:
         raise ScenarioError(f"{path}.kind: unknown kind {kind!r}; expected one of {KINDS}")
     if kind == "variety":
-        _validate_variety(scn.get("variety", scn), path)
+        spec = scn.get("variety", scn)
+        if not isinstance(spec, dict):
+            raise ScenarioError(f"{path}.variety: expected a JSON object")
+        _validate_variety(spec, path)
     elif kind in ("gauge", "derham"):
         _validate_variety(_require(scn, "variety", dict, path), f"{path}.variety")
         _require(scn, "chart", (str, int), path)
@@ -150,7 +153,10 @@ def _fraction(text: str, path: str) -> Fraction:
 # -- construction -------------------------------------------------------------
 
 def build_variety(spec: dict, path: str = "variety") -> Variety:
-    ring = PolyRing(tuple(spec["variables"]))
+    try:
+        ring = PolyRing(tuple(spec["variables"]))
+    except ValueError as exc:
+        raise ScenarioError(f"{path}.variables: {exc}") from exc
     gens = []
     for i, text in enumerate(spec["generators"]):
         try:
@@ -238,7 +244,8 @@ def build_gauge_field(scn: dict, chart: Chart, dim: int, path: str = "scenario")
             raise ScenarioError(f"{path}.B: expected {n} matrices")
         matrices = []
         for i, mat in enumerate(b):
-            if len(mat) != dim or any(len(row) != dim for row in mat):
+            if (not isinstance(mat, list) or len(mat) != dim
+                    or any(not isinstance(row, list) or len(row) != dim for row in mat)):
                 raise ScenarioError(f"{path}.B[{i}]: expected a {dim}x{dim} matrix")
             matrices.append(tuple(
                 tuple(_localized_entry(e, chart, f"{path}.B[{i}][{r}][{c}]")
@@ -300,6 +307,11 @@ def _selector(scn: dict) -> Callable[[str], bool]:
 def _run_gauge(scn: dict) -> Iterator[dict]:
     v = build_variety(scn["variety"], "scenario.variety")
     chart = select_chart(v, scn["chart"])
+    n = len(chart.parameters)
+    if scn["module"]["N"] != n:
+        # checked before a module of any size is built
+        raise ScenarioError(f"scenario.module: the module is a gl_{scn['module']['N']} "
+                            f"module, but the chart has {n} parameters")
     module = build_module(scn["module"], "scenario.module")
     field = build_gauge_field(scn, chart, module.dim)
     try:
@@ -519,7 +531,8 @@ def _run_circle(scn: dict) -> Iterator[dict]:
 
     if want("circle.witt"):
         status, witness = "pass", f"n,m in [-{grid},{grid}] on {len(basis_grid)} vectors"
-        for n, m in itertools.product(range(-grid, grid + 1), repeat=2):
+        # lazily: a huge grid leaves the index window at its first pair
+        for n, m in ((n, m) for n in range(-grid, grid + 1) for m in range(-grid, grid + 1)):
             bad = next((x for x in basis_grid
                         if not circle_mod.witt_bracket_check(n, m, x)), None)
             if bad is not None:
@@ -606,6 +619,10 @@ def central_character_table(N: int, budget: int = 200_000) -> list[dict]:
     import math
 
     from .glrep import BudgetExceededError
+    if N >= 2 and N >= budget.bit_length():
+        # N^N >= 2^N > budget, without building N^N for a huge N
+        raise BudgetExceededError(
+            f"casimir table for N={N} needs more than {budget} expansion terms")
     worst = (N ** N) * math.factorial(N) if N >= 2 else 0
     if worst > budget:
         raise BudgetExceededError(

@@ -127,6 +127,9 @@ class Variety:
     def chart(self, selector: "int | str") -> "Chart":
         """Select a chart by index or by the rendered name of its minor."""
         if isinstance(selector, int):
+            if not 0 <= selector < len(self.charts):
+                raise IndexError(f"no chart {selector}; the variety has "
+                                 f"{len(self.charts)} charts")
             return self.charts[selector]
         for c in self.charts:
             if c.name == selector:

@@ -1,0 +1,179 @@
+"""Fuzzed command lines and scenario files: the exit code is always 0, 1, 2
+or 3, and nothing ever escapes as a traceback.
+
+``main`` runs in process.  An exception other than argparse's ``SystemExit``
+would print a traceback from the real command, so the properties let it
+fail the test.  Samples stay at 1 or 2 so that every run is short.
+"""
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gaugemods.cli import main
+from gaugemods.scenario import bundled_scenario_names
+
+SCENARIOS = resources.files("gaugemods").joinpath("scenarios")
+BUNDLED = {name: json.loads(SCENARIOS.joinpath(name).read_text(encoding="utf-8"))
+           for name in bundled_scenario_names()}
+
+HUGE = 10**9
+INTS = (-HUGE, -2, -1, 0, 1, 2, 3, 7, HUGE)
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_contract(argv):
+    code, err = run(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+
+
+# -- command lines -----------------------------------------------------------------
+
+FILE, VALUE = object(), object()
+COMMANDS = [
+    ["variety", "check", FILE], ["variety", "charts", FILE], ["gauge", "verify", FILE],
+    ["derham", "verify", FILE], ["casimir", "table", VALUE], ["circle", "verify"],
+    ["run", FILE], ["run", FILE, FILE], ["run", "--bundled"], ["run"], ["variety"],
+    ["nonsense"], [],
+]
+FLAGS = [["--json"], ["--text"], ["--no-timing"], ["--bundled"], ["--help"],
+         ["--seed", VALUE], ["--samples", VALUE], ["--max-degree", VALUE],
+         ["--alpha", VALUE], ["--grid", VALUE], ["--unknown"]]
+
+values = st.one_of(
+    st.sampled_from(INTS).map(str),
+    st.sampled_from(["x", "", "1/2", "-1/3", "1/0", "nan", "true", "false", "-", "--",
+                     "1e3", "0x10", " 7", "5/3"]),
+    st.text(st.characters(blacklist_characters="\x00", blacklist_categories=("Cs",)),
+            max_size=6))
+
+
+@st.composite
+def command_lines(draw, files):
+    def fill(parts):
+        return [draw(values) if p is VALUE else draw(st.sampled_from(files)) if p is FILE
+                else p for p in parts]
+
+    argv = fill(draw(st.sampled_from(COMMANDS)))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = fill(draw(st.sampled_from(FLAGS)))
+    # last wins: a bad --samples earlier still exits 2, a good one keeps runs short
+    return argv + ["--samples", draw(st.sampled_from(["1", "2"]))]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_fuzzed_command_lines_keep_the_exit_code_contract(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        good = Path(tmp, "scenario.json")
+        good.write_text(json.dumps(BUNDLED[data.draw(st.sampled_from(sorted(BUNDLED)))]))
+        junk = Path(tmp, "junk.json")
+        junk.write_text(data.draw(st.sampled_from(["", "[]", "{", "null", '{"kind": 3}'])))
+        files = [str(good), str(junk), str(Path(tmp, "missing.json")), tmp]
+        assert_contract(data.draw(command_lines(files)))
+
+
+# -- scenario files ----------------------------------------------------------------
+
+def _paths(obj, prefix=()):
+    """Every key path into nested dicts and lists."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) \
+        if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+OTHER_TYPES = [None, True, False, "x", "1/2", "", 2.5, [], {}, ["x"], {"N": 1}, [[1]]]
+
+
+@st.composite
+def mutated_scenarios(draw):
+    scn = json.loads(json.dumps(BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))]))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(scn))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        target = scn
+        for p in parents:
+            target = target[p]
+        action = draw(st.sampled_from(["drop", "retype", "range"]))
+        if action == "drop":
+            del target[key]
+        elif action == "retype":
+            target[key] = json.loads(json.dumps(draw(st.sampled_from(OTHER_TYPES))))
+        else:
+            target[key] = draw(st.sampled_from(INTS))
+    return scn
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_scenarios())
+def test_mutated_scenario_files_keep_the_exit_code_contract(scn):
+    argv = ["run", "--no-timing"]
+    samples = scn.get("samples") if isinstance(scn, dict) else None
+    if not (type(samples) is int and samples <= 2):
+        argv += ["--samples", "2"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "scenario.json")
+        path.write_text(json.dumps(scn))
+        assert_contract(argv + [str(path)])
+
+
+# -- inputs the fuzzing found: each crashed or hung before it had its own check ----
+
+def _with(name, edit):
+    scn = json.loads(json.dumps(BUNDLED[name]))
+    edit(scn)
+    return scn
+
+
+FOUND = {
+    "chart index -1 picked the last chart": (
+        _with("sphere_gauge_flat.json", lambda s: s.update(chart=-1)), 2),
+    "duplicate variable names raised ValueError": (
+        _with("sphere_variety.json", lambda s: s["variety"].update(variables=["x", "x", "z"])),
+        2),
+    "a variety spec that is not an object raised TypeError": (
+        _with("sphere_variety.json", lambda s: s.update(variety=None)), 2),
+    "a matrix gauge field with a number for a row raised TypeError": (
+        _with("affine1_gauge.json", lambda s: s.update(B=[[1]])), 2),
+    "a huge module rank built the module first": (
+        _with("sphere_gauge_flat.json", lambda s: s["module"].update(N=HUGE, kind="trivial")),
+        2),
+    "a huge grid built every grid pair first": (
+        _with("circle.json", lambda s: s.update(grid=HUGE)), 3),
+    "a huge maxDegree built the whole obstruction system": (
+        _with("derham_affine2.json", lambda s: s.update(maxDegree=HUGE)), 3),
+}
+
+
+def test_inputs_found_by_fuzzing(tmp_path):
+    for why, (scn, want) in FOUND.items():
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scn))
+        code, err = run(["run", "--no-timing", "--samples", "1", str(path)])
+        assert (code, "Traceback" in err) == (want, False), why
+
+
+def test_a_huge_casimir_rank_exits_3_without_counting_terms():
+    code, err = run(["casimir", "table", str(HUGE)])
+    assert code == 3 and "needs more than 200000 expansion terms" in err

@@ -231,6 +231,15 @@ def test_spoly_of_coprime_leads_reduces():
     assert gb.reduce(s).is_zero()
 
 
+def test_quotient_element_powers():
+    q = QuotientRing(buchberger(Ideal(RING, (SPHERE,))))
+    a = q.element(X + Z * Fraction(1, 2))
+    assert a**0 == q.one()
+    assert a**3 == a * a * a
+    with pytest.raises(ValueError, match="negative powers"):
+        a**-1
+
+
 def test_ideal_requires_nonzero_generators():
     with pytest.raises(ValueError):
         Ideal(RING, ())

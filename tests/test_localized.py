@@ -150,6 +150,18 @@ def test_normal_form_of_another_quotient_ring_is_rejected():
         tau(chart.localization.element(other.element(parse_poly("x^2*y", ring)), 1))
 
 
+def test_localization_rejects_a_numerator_of_another_quotient_ring():
+    loc = CHARTS["sphere-z"].localization
+    ring = loc.qring.ring
+    other = QuotientRing(buchberger(Ideal(ring, (parse_poly("x*y - 1", ring),))))
+    with pytest.raises(ValueError, match="different quotient ring"):
+        loc.element(other.element(parse_poly("x^2*y", ring)), 1)
+    # a separately built but equal quotient ring is the same ring
+    same = QuotientRing(loc.qring.gb)
+    x = parse_poly("x", ring)
+    assert form(loc.element(same.element(x), 1)) == form(loc.element(x, 1))
+
+
 def _basis(names, gens):
     ring = PolyRing(names)
     return buchberger(Ideal(ring, tuple(parse_poly(g, ring) for g in gens)))
