@@ -193,22 +193,29 @@ class ObstructionResult:
         return self.status == "FEASIBLE"
 
 
-def gaussian_obstruction(N: int, D: int, scale: Fraction | int = Fraction(-2),
-                         budget: int = 2_000_000) -> ObstructionResult:
+# Largest N * C(N+D, N) * C(N+D+1, N) that gaussian_obstruction accepts.  On
+# one core of a shared two-core Xeon host the systems just below it take at
+# most 2.0 s and 34 MB peak RSS: (N, D) = (1, 1411), 1,995,156 entries,
+# 2.0 s; (2, 42), 0.6 s; (5, 6), 0.4 s.  (4, 6), the largest bundled-size
+# system, has 277,200.
+_OBSTRUCTION_ENTRY_BUDGET = 2_000_000
+
+
+def gaussian_obstruction(N: int, D: int, scale: Fraction | int = Fraction(-2)) -> ObstructionResult:
     """Decide whether sum_i (df_i/dx_i + scale * x_i * f_i) = 1 has a
     polynomial solution with deg f_i <= D, by exact linear elimination.
 
     scale = -2 is the Gaussian-weight top-form obstruction; scale = 0 is
     the control problem solved by divergence (f_1 = x_1).  The system has
-    N * C(N+D, N) unknowns and at most C(N+D+1, N) equations; a larger
-    product than ``budget`` raises ``BudgetExceededError``.
+    N * C(N+D, N) unknowns and at most C(N+D+1, N) equations; a product
+    above ``_OBSTRUCTION_ENTRY_BUDGET`` raises ``BudgetExceededError``.
     """
     if N < 1 or D < 0:
         raise ValueError("need N >= 1 and D >= 0")
     entries = N * comb(N + D, N) * comb(N + D + 1, N)
-    if entries > budget:
-        raise BudgetExceededError(
-            f"obstruction for N={N}, D={D} needs {entries} matrix entries; budget {budget}")
+    if entries > _OBSTRUCTION_ENTRY_BUDGET:
+        raise BudgetExceededError(f"obstruction for N={N}, D={D} needs {entries} matrix "
+                                  f"entries; budget {_OBSTRUCTION_ENTRY_BUDGET}")
     scale = Fraction(scale)
     ring = PolyRing(tuple(f"x{i + 1}" for i in range(N)), max(D + 2, 4))
 

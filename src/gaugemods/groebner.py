@@ -26,7 +26,6 @@ from .polyring import (
     MonomialOrder,
     Polynomial,
     PolyRing,
-    _check_degree,
     grevlex,
     leading_term,
     render,
@@ -81,8 +80,7 @@ def _reducer(g: Polynomial, dkey: Key) -> Reducer:
                        for e, c in g.num.items() if e != lead)
 
 
-def _reduce(p: Polynomial, reducers: Sequence[Reducer], dkey: Key,
-            integral: bool = False) -> Polynomial:
+def _reduce(p: Polynomial, reducers: Sequence[Reducer], dkey: Key) -> Polynomial:
     """Remainder of multivariate division of p by the basis.
 
     The largest remaining term is divided by the first reducer, in basis
@@ -93,8 +91,7 @@ def _reduce(p: Polynomial, reducers: Sequence[Reducer], dkey: Key,
     popped monomial never comes back.
 
     Division is linear, so it runs on p's numerators and divides by p's
-    denominator once at the end.  With ``integral`` reducers (all int
-    tails) every remainder coefficient is an int.
+    denominator once at the end.
     """
     work = dict(p.num)
     heap = [(dkey(e), e) for e in work]
@@ -120,11 +117,8 @@ def _reduce(p: Polynomial, reducers: Sequence[Reducer], dkey: Key,
                 break
         else:
             remainder[e] = c
-    if integral:
-        _check_degree(p.ring, remainder)
-        return Polynomial._own(p.ring, remainder, p.den)
     r = Polynomial(p.ring, remainder)
-    return Polynomial._own(p.ring, r.num, r.den * p.den)
+    return r if p.den == 1 else Polynomial._own(p.ring, r.num, r.den * p.den)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -154,14 +148,13 @@ class GroebnerBasis:
         self.generators = tuple(generators)
         self._dkey = order.descending_key(ring)
         self._reducers = tuple(_reducer(g, self._dkey) for g in self.basis)
-        self._integral = all(type(c) is int for _, tail in self._reducers for _, c in tail)
 
     def reduce(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
             raise ValueError("polynomial from a different ring")
         if not self.basis or p.is_zero():
             return p
-        return _reduce(p, self._reducers, self._dkey, self._integral)
+        return _reduce(p, self._reducers, self._dkey)
 
     def contains(self, p: Polynomial) -> bool:
         return self.reduce(p).is_zero()
