@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from . import gauge as gauge_mod
 from .glrep import GlModule, UEAElement, identity, mat_scale
 from .groebner import LocalizedElement
-from .linalg import Combination, add_term, rank
+from .linalg import add_term, rank
 from .variety import Chart, Variety, circle_variety
 
 Key = tuple[str, int]  # ("v" | "u", index)
@@ -37,66 +38,139 @@ class IndexWindowError(RuntimeError):
     """Raised when an index leaves the configured support window."""
 
 
-class CircleElement(Combination):
-    """A finitely supported rational combination of the v_k and u_k."""
+class CircleElement:
+    """A finitely supported rational combination of the v_k and u_k.
 
-    __slots__ = ("alpha", "window")
+    Stored like a ``Polynomial``: ``num`` maps keys to nonzero int
+    numerators over ``den``, one positive common denominator with
+    gcd(den, every numerator) = 1, and den = 1 for zero.  That form is
+    unique, so equality is equality of ``alpha``, ``num`` and ``den``.
+    ``terms`` is the rational view, keys to ``Fraction``.  Elements of
+    different alpha neither add nor compare equal.
+    """
 
-    def __init__(self, alpha: Fraction, terms: Mapping[Key, Fraction],
+    __slots__ = ("alpha", "window", "num", "den", "_terms")
+
+    def __init__(self, alpha: Fraction | int, terms: Mapping[Key, int | Fraction],
                  window: int = DEFAULT_WINDOW):
-        self.alpha = Fraction(alpha)
-        self.window = window
-        for sym, k in terms:
-            if sym not in ("v", "u"):
-                raise ValueError(f"unknown symbol {sym!r}")
-            if abs(k) > window:
-                raise IndexWindowError(
-                    f"index {k} outside the support window [-{window}, {window}]"
-                )
-        super().__init__({key: Fraction(c) for key, c in terms.items()})
+        _check_keys(terms, window)
+        den = 1
+        for c in terms.values():
+            if c.denominator != 1:
+                den = lcm(den, c.denominator)
+        self.alpha, self.window, self.den = Fraction(alpha), window, den
+        self.num = {key: c.numerator * (den // c.denominator)
+                    for key, c in terms.items() if c}
+        self._terms: dict[Key, Fraction] | None = None
+
+    @classmethod
+    def _own(cls, alpha: Fraction, num: dict[Key, int], den: int,
+             window: int) -> "CircleElement":
+        """Adopt nonzero int numerators over den >= 1, just built and kept
+        by no caller, and take out their common factor with den."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {key: c // g for key, c in num.items()}
+        x = cls.__new__(cls)
+        x.alpha, x.window, x.num, x.den, x._terms = alpha, window, num, den, None
+        return x
 
     @property
-    def space(self) -> Fraction:
-        return self.alpha
+    def terms(self) -> dict[Key, Fraction]:
+        """Keys to nonzero ``Fraction`` coefficients, built on first use and
+        cached; treat it as read-only."""
+        if self._terms is None:
+            den = self.den
+            self._terms = {key: Fraction(c, den) for key, c in self.num.items()}
+        return self._terms
 
-    def _like(self, terms: Mapping[Key, Fraction]) -> "CircleElement":
-        return CircleElement(self.alpha, terms, self.window)
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def __add__(self, other: "CircleElement") -> "CircleElement":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "CircleElement") -> "CircleElement":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "CircleElement", sign: int) -> "CircleElement":
+        """self + sign * other, both over the lcm of their denominators."""
+        if type(other) is not CircleElement or other.alpha != self.alpha:
+            raise ValueError("CircleElement: cannot add elements of different spaces")
+        if other.window != self.window:
+            _check_keys(other.num, self.window)
+        g = gcd(self.den, other.den)
+        mine, theirs = other.den // g, sign * (self.den // g)
+        out = {key: c * mine for key, c in self.num.items()}
+        for key, c in other.num.items():
+            add_term(out, key, c * theirs)
+        return CircleElement._own(self.alpha, out, self.den * mine, self.window)
+
+    def scale(self, c: Fraction | int) -> "CircleElement":
+        p = c.numerator
+        num = {key: v * p for key, v in self.num.items()} if p else {}
+        return CircleElement._own(self.alpha, num, self.den * c.denominator, self.window)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not CircleElement:
+            return NotImplemented
+        return self.alpha == other.alpha and self.den == other.den and self.num == other.num
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         def fmt(key: Key) -> str:
             sym, k = key
             c = self.terms[key]
             base = f"{sym}[{k}]"
             return base if c == 1 else f"({c})*{base}"
-        ordering = sorted(self.terms, key=lambda key: (key[1], key[0] == "u"))
+        ordering = sorted(self.num, key=lambda key: (key[1], key[0] == "u"))
         return " + ".join(fmt(k) for k in ordering)
 
     def __repr__(self) -> str:
         return f"CircleElement({self})"
 
 
+def _check_keys(keys: Iterable[Key], window: int) -> None:
+    """Raise for the first key, in order, with an unknown symbol or an index
+    outside [-window, window]."""
+    for sym, k in keys:
+        if sym not in ("v", "u"):
+            raise ValueError(f"unknown symbol {sym!r}")
+        if abs(k) > window:
+            raise IndexWindowError(
+                f"index {k} outside the support window [-{window}, {window}]"
+            )
+
+
 def basis_v(alpha: Fraction | int, k: int, window: int = DEFAULT_WINDOW) -> CircleElement:
-    return CircleElement(Fraction(alpha), {("v", k): Fraction(1)}, window)
+    return CircleElement(alpha, {("v", k): 1}, window)
 
 
 def basis_u(alpha: Fraction | int, k: int, window: int = DEFAULT_WINDOW) -> CircleElement:
-    return CircleElement(Fraction(alpha), {("u", k): Fraction(1)}, window)
+    return CircleElement(alpha, {("u", k): 1}, window)
 
 
 def act_e(n: int, x: CircleElement) -> CircleElement:
-    """Apply the vector field e_n = t^(n+1) d/dt."""
-    out: dict[Key, Fraction] = {}
-    for (sym, k), c in x.terms.items():
-        add_term(out, (sym, n + k), (k + x.alpha * n) * c)
-        add_term(out, ("u", n + k) if sym == "v" else ("v", n + k + 1), c)
-    return CircleElement(x.alpha, out, x.window)
+    """Apply the vector field e_n = t^(n+1) d/dt.
+
+    With alpha = a/b, b * e_n.(c v_k) = (k*b + a*n) c v_{n+k} + b c u_{n+k},
+    and likewise on u_k, so the numerators stay ints, over den * b."""
+    a, b = x.alpha.numerator, x.alpha.denominator
+    an = a * n
+    out: dict[Key, int] = {}
+    for (sym, k), c in x.num.items():
+        add_term(out, (sym, n + k), (k * b + an) * c)
+        add_term(out, ("u", n + k) if sym == "v" else ("v", n + k + 1), b * c)
+    _check_keys(out, x.window)
+    return CircleElement._own(x.alpha, out, x.den * b, x.window)
 
 
 def apply_word(w: UEAElement, x: CircleElement) -> CircleElement:
     """Apply a word sum, rightmost generator first; scalars multiply."""
-    total = CircleElement(x.alpha, {}, x.window)
+    total = CircleElement._own(x.alpha, {}, 1, x.window)
     for word, coeff in w.terms.items():
         y = x
         for n in reversed(word):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .linalg import Combination, Row, add_term, sparse_row
+from .linalg import Combination, Row, add_term
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -121,8 +121,11 @@ class GlModule:
         self.name = name or f"gl{N}-module(dim {self.dim})"
         self.basis_labels = tuple(basis_labels) if basis_labels else tuple(
             f"b{i}" for i in range(self.dim))
-        self.sparse_rho = {key: tuple(map(sparse_row, m)) for key, m in self.rho.items()}
-        self.sparse_one = tuple({i: Fraction(1)} for i in range(self.dim))
+        # ints where the entries are integral, so word products multiply ints
+        self.sparse_rho = {key: tuple({c: x.numerator if x.denominator == 1 else x
+                                       for c, x in enumerate(row) if x} for row in m)
+                           for key, m in self.rho.items()}
+        self.sparse_one = tuple({i: 1} for i in range(self.dim))
         self._validate()
 
     def _validate(self) -> None:
@@ -246,14 +249,15 @@ class UEAElement(Combination):
 
 def evaluate(el: UEAElement, m: GlModule) -> Matrix:
     """Evaluate a word sum on a module, in Horner form over its prefix trie:
-    E(S) = c_() * I + sum over symbols a of rho(a) * E(words of S after a)."""
+    E(S) = c_() * I + sum over symbols a of rho(a) * E(words of S after a).
+    The sparse rows may hold ints; the matrix holds only ``Fraction``s."""
     zero = Fraction(0)
-    return tuple(tuple(row.get(j, zero) for j in range(m.dim))
+    return tuple(tuple(Fraction(row[j]) if j in row else zero for j in range(m.dim))
                  for row in _horner(el.terms, m))
 
 
-def _horner(words: Mapping[Word, Fraction], m: GlModule) -> SparseRows:
-    suffixes: dict[Hashable, dict[Word, Fraction]] = {}
+def _horner(words: Mapping[Word, Fraction | int], m: GlModule) -> SparseRows:
+    suffixes: dict[Hashable, dict[Word, Fraction | int]] = {}
     terms = []
     for word, coeff in words.items():
         if word:
@@ -277,13 +281,14 @@ def _horner(words: Mapping[Word, Fraction], m: GlModule) -> SparseRows:
 def casimir(k: int, N: int) -> UEAElement:
     """Omega_k: the cyclic sum over index tuples of E_{i1 i2}...E_{ik i1}.
 
-    Cached: the result is shared, so never change its terms."""
+    Cached: the result is shared, so never change its terms.  The word
+    counts are ints."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    words: dict[Word, Fraction] = {}
+    words: dict[Word, int] = {}
     for idx in itertools.product(range(1, N + 1), repeat=k):
         word = tuple((idx[a], idx[(a + 1) % k]) for a in range(k))
-        words[word] = words.get(word, Fraction(0)) + 1
+        words[word] = words.get(word, 0) + 1
     return UEAElement(words)
 
 
@@ -299,12 +304,12 @@ def hat_omega(k: int, N: int, budget: int = DEFAULT_TERM_BUDGET) -> UEAElement:
         raise BudgetExceededError(
             f"N^k*k! = {count} exceeds the term budget {budget}"
         )
-    words: dict[Word, Fraction] = {}
+    words: dict[Word, int] = {}
     perms = list(itertools.permutations(range(k)))
     for idx in itertools.product(range(1, N + 1), repeat=k):
         for sigma in perms:
             word = tuple((idx[sigma[a]], idx[a]) for a in range(k))
-            words[word] = words.get(word, Fraction(0)) + 1
+            words[word] = words.get(word, 0) + 1
     return UEAElement(words)
 
 

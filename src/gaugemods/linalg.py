@@ -2,7 +2,8 @@
 determinants and elimination over QQ.
 
 ``Combination`` is the one free-module element the package builds on:
-word sums, circle vectors, gauge elements and forms.  ``det`` never
+word sums, gauge elements and forms.  (Circle vectors keep int numerators
+over a common denominator, like polynomials; see ``circle``.)  ``det`` never
 divides, so it serves any ring whose elements support ``+``, ``*`` and
 ``is_zero``.  ``rank`` and ``solve`` take dense
 matrices, leave them unchanged, and eliminate on sparse rows with the

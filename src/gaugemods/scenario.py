@@ -140,7 +140,14 @@ def _validate_module(spec: dict, path: str) -> None:
     if kind == "exterior":
         _require(spec, "k", int, path)
     if kind == "custom":
-        _require(spec, "matrices", list, path)
+        # a JSON float would enter as its binary value and a boolean as 0 or 1
+        for i, matrix in enumerate(_require(spec, "matrices", list, path)):
+            for r, row in enumerate(matrix if isinstance(matrix, list) else ()):
+                for c, x in enumerate(row if isinstance(row, list) else ()):
+                    if not (_is_int(x) or isinstance(x, str)):
+                        raise ScenarioError(
+                            f"{path}.matrices[{i}][{r}][{c}]: expected an integer or a "
+                            f"rational string, got {type(x).__name__}")
 
 
 def _fraction(text: str, path: str) -> Fraction:

@@ -1,8 +1,10 @@
 """The explicit circle modules: action, operator words, gauge crosscheck."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,8 +28,15 @@ from gaugemods.circle import (
     witt_bracket_check,
 )
 from gaugemods.glrep import UEAElement
+from gaugemods.scenario import run_scenario, validate_scenario
 
 ALPHAS = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(5, 3)]
+
+# recorded for the benchmark; read here, never written
+EXPECTED = Path(__file__).parents[1] / "perfbench" / "references" / "expected.json"
+# the circle scenario of the benchmark's exact_linalg workload at its default seed
+EXACT_LINALG_CIRCLE = {"schema": "1", "kind": "circle", "name": "circle",
+                       "alphas": ["0", "1", "1/2", "5/3"], "grid": 5, "seed": 0}
 
 
 class TestAction:
@@ -205,3 +214,10 @@ class TestGaugeCrosscheck:
 def test_alpha_mismatch_rejected():
     with pytest.raises(ValueError):
         basis_v(0, 0) + basis_v(1, 0)
+
+
+def test_exact_linalg_circle_scenario_matches_the_recorded_report():
+    expected = json.loads(EXPECTED.read_text())
+    assert expected["circle_grid"] == EXACT_LINALG_CIRCLE["grid"]
+    report = run_scenario(validate_scenario(dict(EXACT_LINALG_CIRCLE)), timing=False)
+    assert json.loads(json.dumps(report)) == expected["circle"]

@@ -137,6 +137,23 @@ class TestExitCodes:
         assert code == 2 and captured.out == ""
         assert "expected" in captured.err
 
+    @pytest.mark.parametrize("entry, code", [
+        (0.1, 2), (True, 2), (None, 2), (2, 0), ("1/2", 0), ("-3", 0),
+    ], ids=["float", "bool", "null", "int", "rational", "negative"])
+    def test_custom_matrix_entries_are_integers_or_rational_strings(
+            self, capsys, tmp_path, entry, code):
+        # a float would enter as 3602879701896397/36028797018963968 and true as 1
+        scn = json.loads((SCENARIOS / "affine1_gauge.json").read_text())
+        scn["module"] = {"N": 1, "kind": "custom", "matrices": [[[entry]]]}
+        scn["samples"] = 2
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(scn))
+        assert main(["run", str(path), "--no-timing"]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert f"{path}.module.matrices[0][0][0]: expected an integer or a " \
+                   f"rational string, got {type(entry).__name__}" in err
+
     def test_max_degree_zero_exits_0_without_traceback(self):
         proc = subprocess.run(
             [sys.executable, "-m", "gaugemods.cli", "derham", "verify",

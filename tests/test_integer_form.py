@@ -1,23 +1,31 @@
 """Integer numerators over one common denominator, against Fraction references.
 
-A ``Polynomial`` stores int numerators over one positive denominator.  The
-references below keep every coefficient as a ``Fraction`` in a plain dict
-and do the textbook term-by-term arithmetic.  Each operation must give the
-reference's terms, in the reference's order, in canonical form: no zero
-numerator, gcd(den, numerators) = 1, only ints inside and only Fractions in
-the ``terms`` view.  The hash must equal the hash of the reference terms.
+A ``Polynomial`` and a ``CircleElement`` store int numerators over one
+positive denominator, and gl_N word sums multiply int matrix entries where
+they are integral.  The references below keep every coefficient as a
+``Fraction`` in a plain dict and do the textbook term-by-term arithmetic.
+Each operation must give the reference's terms, in the reference's order,
+in canonical form: no zero numerator, gcd(den, numerators) = 1, only ints
+inside and only Fractions in the ``terms`` view.  The hash of a polynomial
+must equal the hash of the reference terms.
 """
 
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaugemods import glrep
+from gaugemods.circle import CircleElement, IndexWindowError, act_e
 from gaugemods.groebner import GroebnerBasis, Ideal, buchberger, s_polynomial
 from gaugemods.parser import parse_poly
 from gaugemods.polyring import Polynomial, PolyRing, leading_term
+from gaugemods.scenario import central_character_table, run_scenario, validate_scenario
 
+from test_circle import ALPHAS, EXACT_LINALG_CIRCLE
+from test_glrep import reference_evaluate, twisted_natural
 from test_groebner import reference_reduce
 
 RING = PolyRing(("x", "y", "z"))
@@ -243,3 +251,144 @@ def test_a_non_groebner_basis_with_fractional_leading_coefficients():
     gb = GroebnerBasis(RING, GB_SPHERE.order, _gens(RING, ("3*x^2 - 1/2*y", "2*y*z + 5")))
     p = Polynomial(RING, {(4, 1, 1): Fraction(7, 6), (0, 2, 2): Fraction(-1, 4)})
     assert_matches(gb.reduce(p), reference_reduce(p, gb.basis, gb.order).terms)
+
+
+# -- circle vectors ----------------------------------------------------------------
+
+WINDOW = 5
+
+
+def reference_act(n, alpha, terms):
+    """e_n v_k = (k + alpha n) v_{n+k} + u_{n+k}, e_n u_k = (k + alpha n) u_{n+k}
+    + v_{n+k+1}, term by term on a dict of nonzero Fractions."""
+    out = {}
+    for (sym, k), c in terms.items():
+        out = reference_add(out, {(sym, n + k): (k + alpha * n) * c})
+        out = reference_add(out, {("u", n + k) if sym == "v" else ("v", n + k + 1): c})
+    return out
+
+
+def reference_window_error(terms, window):
+    """The message for the first key, in order, outside the window; else None."""
+    bad = next((k for _, k in terms if abs(k) > window), None)
+    if bad is None:
+        return None
+    return f"index {bad} outside the support window [-{window}, {window}]"
+
+
+def nonzero(terms):
+    return {key: Fraction(c) for key, c in terms.items() if c}
+
+
+def assert_circle_matches(x, reference):
+    assert type(x.den) is int and x.den >= 1
+    assert all(type(c) is int and c != 0 for c in x.num.values())
+    assert gcd(x.den, *x.num.values()) == 1
+    assert all(type(c) is Fraction for c in x.terms.values())
+    assert list(x.terms.items()) == list(reference.items())
+
+
+alphas = st.one_of(st.sampled_from(ALPHAS), st.fractions(-5, 5, max_denominator=12))
+circle_dicts = st.dictionaries(
+    st.tuples(st.sampled_from("vu"), st.integers(-WINDOW, WINDOW)),
+    st.one_of(coefficients, st.integers(-6, 6)), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(alphas, circle_dicts, st.lists(st.integers(-7, 7), min_size=1, max_size=3))
+def test_circle_action_matches_the_reference(alpha, terms, word):
+    """Each e_n gives the reference terms, or, once an index leaves the
+    window, the error text the reference names for the first such key."""
+    x = CircleElement(alpha, terms, WINDOW)
+    ref = nonzero(terms)
+    assert_circle_matches(x, ref)
+    for n in word:
+        ref = reference_act(n, alpha, ref)
+        error = reference_window_error(ref, WINDOW)
+        if error is not None:
+            with pytest.raises(IndexWindowError) as exc:
+                act_e(n, x)
+            assert str(exc.value) == error
+            return
+        x = act_e(n, x)
+        assert_circle_matches(x, ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(alphas, circle_dicts, circle_dicts, st.one_of(coefficients, st.integers(-6, 6)))
+def test_circle_sums_scalings_and_equality_match_the_references(alpha, a, b, c):
+    x, y = CircleElement(alpha, a, WINDOW), CircleElement(alpha, b, WINDOW)
+    ra, rb = nonzero(a), nonzero(b)
+    assert_circle_matches(x + y, reference_add(ra, rb))
+    assert_circle_matches(x - y, reference_add(ra, reference_scale(rb, -1)))
+    assert_circle_matches(x.scale(c), reference_scale(ra, c))
+    assert (x == y) == (ra == rb)
+    assert x + y == y + x and (x - x).is_zero() and (x - x).den == 1
+    assert x != CircleElement(alpha + 1, a, WINDOW)
+    half = CircleElement(alpha, {("v", 0): Fraction(1, 2)})
+    assert half.num == half.scale(2).num and half != half.scale(2)
+
+
+@given(alphas, st.integers(WINDOW + 1, 40), st.sampled_from("vu"))
+def test_circle_constructor_checks_symbols_and_window(alpha, k, sym):
+    with pytest.raises(IndexWindowError) as exc:
+        CircleElement(alpha, {(sym, 0): 1, (sym, -k): 0, (sym, k): 1}, WINDOW)
+    assert str(exc.value) == reference_window_error({(sym, -k): 0}, WINDOW)
+    with pytest.raises(ValueError, match="unknown symbol 'w'"):
+        CircleElement(alpha, {("w", 0): 1}, WINDOW)
+
+
+def test_a_sum_keeps_the_window_of_its_left_operand():
+    wide = CircleElement(0, {("v", 30): 1}, 40)
+    with pytest.raises(IndexWindowError):
+        CircleElement(0, {}, WINDOW) + wide
+    assert (wide + CircleElement(0, {("u", 1): 1}, WINDOW)).window == 40
+
+
+# -- gl_N words --------------------------------------------------------------------
+
+def test_word_sums_multiply_ints_where_entries_are_integral():
+    m = twisted_natural(Fraction(2, 3))
+    entries = [x for rows in m.sparse_rho.values() for row in rows for x in row.values()]
+    assert {type(x) for x in entries} == {int, Fraction}
+    assert all(type(x) is Fraction for x in entries if x.denominator != 1)
+    assert all(type(c) is int for k in (1, 2, 3) for c in glrep.casimir(k, 3).terms.values())
+    assert all(type(c) is int for c in glrep.hat_omega(2, 3).terms.values())
+    words = [glrep.casimir(2, 3), glrep.hat_omega(3, 3),
+             glrep.casimir(1, 3) * glrep.UEAElement.scalar(Fraction(-5, 7))]
+    for el in words:
+        got = glrep.evaluate(el, m)
+        assert got == reference_evaluate(el, m)
+        assert all(type(x) is Fraction for row in got for x in row)
+
+
+# -- work counts -------------------------------------------------------------------
+
+def _fractions_made(monkeypatch, run) -> int:
+    made = 0
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return made
+
+
+def test_circle_vectors_and_word_counts_build_few_fractions(monkeypatch):
+    """``Fraction.__new__`` calls in the exact_linalg circle scenario (grid 5,
+    seed 0) and in ``central_character_table(4)``, the word caches cleared.
+    With ``Fraction`` coefficients in circle vectors and word counts they
+    were 280,337 and 70,372; the guard allows a tenth of each."""
+    scenario = validate_scenario(dict(EXACT_LINALG_CIRCLE))
+    circle = _fractions_made(monkeypatch, lambda: run_scenario(scenario, timing=False))
+    glrep.casimir.cache_clear()
+    glrep.hat_omega.cache_clear()
+    table = _fractions_made(monkeypatch, lambda: central_character_table(4))
+    assert circle <= 28_033 and table <= 7_037, (circle, table)
