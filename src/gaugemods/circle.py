@@ -20,13 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from . import gauge as gauge_mod
 from .glrep import GlModule, UEAElement, identity, mat_scale
 from .groebner import LocalizedElement
-from .linalg import add_term, rank
+from .linalg import IntForm, add_term, int_form, rank
 from .variety import Chart, Variety, circle_variety
 
 Key = tuple[str, int]  # ("v" | "u", index)
@@ -38,80 +37,43 @@ class IndexWindowError(RuntimeError):
     """Raised when an index leaves the configured support window."""
 
 
-class CircleElement:
+class CircleElement(IntForm):
     """A finitely supported rational combination of the v_k and u_k.
 
-    Stored like a ``Polynomial``: ``num`` maps keys to nonzero int
-    numerators over ``den``, one positive common denominator with
-    gcd(den, every numerator) = 1, and den = 1 for zero.  That form is
-    unique, so equality is equality of ``alpha``, ``num`` and ``den``.
-    ``terms`` is the rational view, keys to ``Fraction``.  Elements of
+    An integer form (see ``linalg``): ``num`` maps keys to int numerators
+    over ``den``, and ``terms`` is the rational view, keys to ``Fraction``.
+    Equality is equality of ``alpha``, ``num`` and ``den``.  Elements of
     different alpha neither add nor compare equal.
     """
 
-    __slots__ = ("alpha", "window", "num", "den", "_terms")
+    __slots__ = ("alpha", "window")
 
     def __init__(self, alpha: Fraction | int, terms: Mapping[Key, int | Fraction],
                  window: int = DEFAULT_WINDOW):
         _check_keys(terms, window)
-        den = 1
-        for c in terms.values():
-            if c.denominator != 1:
-                den = lcm(den, c.denominator)
-        self.alpha, self.window, self.den = Fraction(alpha), window, den
-        self.num = {key: c.numerator * (den // c.denominator)
-                    for key, c in terms.items() if c}
-        self._terms: dict[Key, Fraction] | None = None
+        self.alpha, self.window, self._terms = Fraction(alpha), window, None
+        self.num, self.den = int_form(terms)
 
-    @classmethod
-    def _own(cls, alpha: Fraction, num: dict[Key, int], den: int,
-             window: int) -> "CircleElement":
-        """Adopt nonzero int numerators over den >= 1, just built and kept
-        by no caller, and take out their common factor with den."""
-        if den != 1:
-            g = gcd(den, *num.values())
-            if g != 1:
-                den //= g
-                num = {key: c // g for key, c in num.items()}
-        x = cls.__new__(cls)
-        x.alpha, x.window, x.num, x.den, x._terms = alpha, window, num, den, None
-        return x
-
-    @property
-    def terms(self) -> dict[Key, Fraction]:
-        """Keys to nonzero ``Fraction`` coefficients, built on first use and
-        cached; treat it as read-only."""
-        if self._terms is None:
-            den = self.den
-            self._terms = {key: Fraction(c, den) for key, c in self.num.items()}
-        return self._terms
-
-    def is_zero(self) -> bool:
-        return not self.num
+    def _like(self, num: dict[Key, int], den: int) -> "CircleElement":
+        x = CircleElement.__new__(CircleElement)
+        x.alpha, x.window = self.alpha, self.window
+        return x._adopt(num, den)
 
     def __add__(self, other: "CircleElement") -> "CircleElement":
-        return self._combine(other, 1)
+        return self._sum(self._operand(other), 1)
 
     def __sub__(self, other: "CircleElement") -> "CircleElement":
-        return self._combine(other, -1)
+        return self._sum(self._operand(other), -1)
 
-    def _combine(self, other: "CircleElement", sign: int) -> "CircleElement":
-        """self + sign * other, both over the lcm of their denominators."""
+    def _operand(self, other: "CircleElement") -> "CircleElement":
         if type(other) is not CircleElement or other.alpha != self.alpha:
             raise ValueError("CircleElement: cannot add elements of different spaces")
         if other.window != self.window:
             _check_keys(other.num, self.window)
-        g = gcd(self.den, other.den)
-        mine, theirs = other.den // g, sign * (self.den // g)
-        out = {key: c * mine for key, c in self.num.items()}
-        for key, c in other.num.items():
-            add_term(out, key, c * theirs)
-        return CircleElement._own(self.alpha, out, self.den * mine, self.window)
+        return other
 
     def scale(self, c: Fraction | int) -> "CircleElement":
-        p = c.numerator
-        num = {key: v * p for key, v in self.num.items()} if p else {}
-        return CircleElement._own(self.alpha, num, self.den * c.denominator, self.window)
+        return self._scaled(c)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not CircleElement:
@@ -165,12 +127,12 @@ def act_e(n: int, x: CircleElement) -> CircleElement:
         add_term(out, (sym, n + k), (k * b + an) * c)
         add_term(out, ("u", n + k) if sym == "v" else ("v", n + k + 1), b * c)
     _check_keys(out, x.window)
-    return CircleElement._own(x.alpha, out, x.den * b, x.window)
+    return x._like(out, x.den * b)
 
 
 def apply_word(w: UEAElement, x: CircleElement) -> CircleElement:
     """Apply a word sum, rightmost generator first; scalars multiply."""
-    total = CircleElement._own(x.alpha, {}, 1, x.window)
+    total = x._like({}, 1)
     for word, coeff in w.terms.items():
         y = x
         for n in reversed(word):

@@ -118,15 +118,11 @@ def _scenario_for(args: argparse.Namespace) -> dict:
             scn = dict(scn)
             scn["checks"] = ["variety.charts"]
         return scn
-    if args.command == "gauge":
+    if args.command in ("gauge", "derham"):
         scn = scenario_mod.load_scenario(args.file)
-        if scn["kind"] != "gauge":
-            raise ScenarioError(f"{args.file}: expected a gauge scenario, got {scn['kind']!r}")
-        return scn
-    if args.command == "derham":
-        scn = scenario_mod.load_scenario(args.file)
-        if scn["kind"] != "derham":
-            raise ScenarioError(f"{args.file}: expected a derham scenario, got {scn['kind']!r}")
+        if scn["kind"] != args.command:
+            raise ScenarioError(
+                f"{args.file}: expected a {args.command} scenario, got {scn['kind']!r}")
         return scn
     if args.command == "casimir":
         return scenario_mod.validate_scenario(

@@ -92,7 +92,7 @@ def exterior_action(p: int, i: int, subset: Subset) -> tuple[int, Subset] | None
     pos = subset.index(i)
     rest = subset[:pos] + subset[pos + 1:]
     smaller = sum(1 for x in rest if x < p)
-    sign = (-1) ** (pos - smaller)
+    sign = -1 if (pos - smaller) % 2 else 1
     return sign, tuple(sorted(rest + (p,)))
 
 

@@ -32,6 +32,18 @@ class BudgetExceededError(RuntimeError):
     """Raised when a combinatorial expansion would exceed the term budget."""
 
 
+def check_term_budget(N: int, k: int, budget: int = DEFAULT_TERM_BUDGET) -> None:
+    """Raise unless the N^k*k! terms of a sum over index tuples and S_k fit
+    in the budget."""
+    if N >= 2 and k >= budget.bit_length():
+        # N^k >= 2^k > budget, without building N^k for a huge k
+        raise BudgetExceededError(
+            f"N^k*k! for N={N}, k={k} needs more than {budget} expansion terms")
+    count = (N ** k) * math.factorial(k)
+    if count > budget:
+        raise BudgetExceededError(f"N^k*k! = {count} exceeds the term budget {budget}")
+
+
 class GlModuleError(ValueError):
     """Raised when candidate matrices violate the gl_N relations."""
 
@@ -173,7 +185,7 @@ def exterior_power(N: int, k: int) -> GlModule:
                         continue
                     merged = tuple(sorted(rest + (i,)))
                     smaller = sum(1 for x in rest if x < i)
-                    sign = (-1) ** (pos - smaller)
+                    sign = -1 if (pos - smaller) % 2 else 1
                     m[index[merged]][col] += sign
             rho[(i, j)] = tuple(tuple(r) for r in m)
     labels = ["1"] if k == 0 else ["e(" + ",".join(map(str, s)) + ")" for s in basis]
@@ -299,11 +311,7 @@ def hat_omega(k: int, N: int, budget: int = DEFAULT_TERM_BUDGET) -> UEAElement:
     Cached, like ``casimir``: every module of a table evaluates the same sums."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    count = (N ** k) * math.factorial(k)
-    if count > budget:
-        raise BudgetExceededError(
-            f"N^k*k! = {count} exceeds the term budget {budget}"
-        )
+    check_term_budget(N, k, budget)
     words: dict[Word, int] = {}
     perms = list(itertools.permutations(range(k)))
     for idx in itertools.product(range(1, N + 1), repeat=k):
@@ -313,7 +321,7 @@ def hat_omega(k: int, N: int, budget: int = DEFAULT_TERM_BUDGET) -> UEAElement:
     return UEAElement(words)
 
 
-def p_poly_matrix(k: int, m: GlModule, budget: int = DEFAULT_TERM_BUDGET) -> Matrix:
+def p_poly_matrix(k: int, m: GlModule) -> Matrix:
     """Evaluate the central combination P_k on a module.
 
     P_k = (symmetrized sum) - ((N+k-1)!/N!) * Omega_1, which vanishes
@@ -321,7 +329,7 @@ def p_poly_matrix(k: int, m: GlModule, budget: int = DEFAULT_TERM_BUDGET) -> Mat
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    hat = evaluate(hat_omega(k, m.N, budget), m)
+    hat = evaluate(hat_omega(k, m.N), m)
     coeff = Fraction(math.factorial(m.N + k - 1), math.factorial(m.N))
     return mat_sub(hat, mat_scale(evaluate(casimir(1, m.N), m), coeff))
 
@@ -360,14 +368,14 @@ class ExceptionalReport:
         return self.omega[0]
 
 
-def exceptional_check(m: GlModule, budget: int = DEFAULT_TERM_BUDGET) -> ExceptionalReport:
+def exceptional_check(m: GlModule) -> ExceptionalReport:
     chi = central_character(m)  # propagates NonScalarActionError
     omega1 = chi[0]
     in_range = omega1.denominator == 1 and 0 <= omega1 <= m.N
     p_scalars: dict[int, Fraction | None] = {}
     all_zero = True
     for k in range(2, m.N + 1):
-        pk = scalar_of(p_poly_matrix(k, m, budget))
+        pk = scalar_of(p_poly_matrix(k, m))
         p_scalars[k] = pk
         if pk != 0:
             all_zero = False
@@ -382,9 +390,7 @@ def stabilizer_sum(N: int, k: int, budget: int = DEFAULT_TERM_BUDGET) -> int:
     gives; a mismatch raises, since it would falsify the combinatorics
     the central combinations rely on.
     """
-    count = (N ** k) * math.factorial(k)
-    if count > budget:
-        raise BudgetExceededError(f"N^k*k! = {count} exceeds the term budget {budget}")
+    check_term_budget(N, k, budget)
     total = 0
     perms = list(itertools.permutations(range(k)))
     for idx in itertools.product(range(1, N + 1), repeat=k):

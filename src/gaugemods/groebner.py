@@ -21,11 +21,13 @@ from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 from typing import Callable, Mapping, Sequence
 
+from .linalg import int_form
 from .polyring import (
     Exponents,
     MonomialOrder,
     Polynomial,
     PolyRing,
+    _check_degree,
     grevlex,
     leading_term,
     render,
@@ -117,8 +119,9 @@ def _reduce(p: Polynomial, reducers: Sequence[Reducer], dkey: Key) -> Polynomial
                 break
         else:
             remainder[e] = c
-    r = Polynomial(p.ring, remainder)
-    return r if p.den == 1 else Polynomial._own(p.ring, r.num, r.den * p.den)
+    num, den = int_form(remainder)
+    _check_degree(p.ring, num)
+    return Polynomial._own(p.ring, num, den * p.den)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:

@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 from operator import add, itemgetter, neg
 from typing import Callable, Iterable, Mapping
+
+from .linalg import IntForm, int_form
 
 Exponents = tuple[int, ...]
 
@@ -77,70 +78,43 @@ class PolyRing:
         e = tuple(exps)
         if len(e) != self.nvars or any(k < 0 for k in e):
             raise ValueError(f"bad exponent vector {e!r} for ring {self.variables}")
-        c = Fraction(coeff)
-        num = {e: c.numerator} if c else {}
+        if not isinstance(coeff, (int, Fraction)):
+            raise TypeError(f"coefficient {coeff!r} is not an int or a Fraction")
+        num = {e: coeff.numerator} if coeff else {}
         _check_degree(self, num)
-        return Polynomial._own(self, num, c.denominator)
+        return Polynomial._own(self, num, coeff.denominator)
 
 
-class Polynomial:
+class Polynomial(IntForm):
     """Immutable sparse polynomial with exact rational coefficients.
 
-    Stored as ``num``, a map from exponents to nonzero int numerators, over
-    ``den``, one positive common denominator with gcd(den, every numerator)
-    = 1.  That form is unique, so equality is equality of ``num`` and
-    ``den``.  ``terms`` is the rational view, exponents to ``Fraction``.
+    An integer form (see ``linalg``): ``num`` maps exponents to int
+    numerators over ``den``, and ``terms`` is the rational view, exponents
+    to ``Fraction``.  Equality is equality of ring, ``num`` and ``den``.
 
     Supports ``+ - * **`` against other polynomials of the same ring and
     against ints/Fractions.
     """
 
-    __slots__ = ("ring", "num", "den", "_terms", "_hash")
+    __slots__ = ("ring", "_hash")
 
     def __init__(self, ring: PolyRing, terms: Mapping[Exponents, int | Fraction]):
-        # over their least common denominator, coefficients in lowest terms
-        # have numerators with no common factor with it.  A loop, not
-        # lcm(*generator): that form raised the peak RSS of perfbench
-        # bundled from 17.3 to 17.8 MB.
-        den = 1
-        for c in terms.values():
-            if c.denominator != 1:
-                den = lcm(den, c.denominator)
-        num = {e: c.numerator * (den // c.denominator) for e, c in terms.items() if c}
-        self.ring, self.num, self.den = ring, num, den
-        self._terms: dict[Exponents, Fraction] | None = None
-        self._hash: int | None = None
-        _check_degree(ring, num)
+        self.ring, self._hash, self._terms = ring, None, None
+        self.num, self.den = int_form(terms)
+        _check_degree(ring, self.num)
 
     @classmethod
     def _own(cls, ring: PolyRing, num: dict[Exponents, int], den: int = 1) -> "Polynomial":
-        """Adopt nonzero int numerators over den >= 1, just built and kept by
-        no caller, and take out their common factor with den.  The caller
-        checks the degree cap wherever the degree can grow."""
-        if den != 1:
-            g = gcd(den, *num.values())
-            if g != 1:
-                den //= g
-                num = {e: c // g for e, c in num.items()}
+        """A polynomial on numerators as ``IntForm._adopt`` takes them.  The
+        caller checks the degree cap wherever the degree can grow."""
         p = cls.__new__(cls)
-        p.ring, p.num, p.den = ring, num, den
-        p._terms = p._hash = None
-        return p
+        p.ring, p._hash = ring, None
+        return p._adopt(num, den)
 
-    @property
-    def terms(self) -> dict[Exponents, Fraction]:
-        """Exponents to nonzero ``Fraction`` coefficients, built on first use
-        and cached.  Treat it as read-only: a write shows in later reads of
-        ``terms`` but changes no value, sum, product, hash or rendering."""
-        if self._terms is None:
-            den = self.den
-            self._terms = {e: Fraction(c, den) for e, c in self.num.items()}
-        return self._terms
+    def _like(self, num: dict[Exponents, int], den: int) -> "Polynomial":
+        return Polynomial._own(self.ring, num, den)
 
     # -- basic queries ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.num)
@@ -156,46 +130,29 @@ class Polynomial:
                 f"ring mismatch: {self.ring.variables} vs {other.ring.variables}"
             )
 
-    def __add__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
+    def _operand(self, other: "Polynomial | int | Fraction") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
+            return self.ring.const(other)
         self._check_ring(other)
-        # both sides over the lcm of the denominators
-        g = gcd(self.den, other.den)
-        mine, theirs = other.den // g, self.den // g
-        out = dict(self.num) if mine == 1 else {e: c * mine for e, c in self.num.items()}
-        for e, c in other.num.items():
-            old = out.get(e)
-            if old is None:
-                out[e] = c * theirs
-            else:
-                s = old + c * theirs
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return Polynomial._own(self.ring, out, self.den * mine)
+        return other
+
+    def __add__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
+        return self._sum(self._operand(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._own(self.ring, {e: -c for e, c in self.num.items()}, self.den)
+        return self._scaled(-1)
 
     def __sub__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
-        return self + (-other)
+        return self._sum(self._operand(other), -1)
 
     def __rsub__(self, other: "int | Fraction") -> "Polynomial":
         return (-self) + other
 
     def __mul__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return self.ring.zero()
-            n = other.numerator
-            return Polynomial._own(self.ring, {e: c * n for e, c in self.num.items()},
-                                   self.den * other.denominator)
+            return self._scaled(other)
         self._check_ring(other)
         out: dict[Exponents, int] = {}
         for ea, ca in self.num.items():

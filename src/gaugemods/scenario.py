@@ -34,6 +34,7 @@ from .gauge import (
 )
 from .glrep import (
     GlModule,
+    check_term_budget,
     custom_module,
     exceptional_check,
     exterior_power,
@@ -621,23 +622,14 @@ def _run_circle(scn: dict) -> Iterator[dict]:
 
 # -- Casimir table -----------------------------------------------------------------
 
-def central_character_table(N: int, budget: int = 200_000) -> list[dict]:
+def central_character_table(N: int) -> list[dict]:
     """Central characters and P_k scalars of the exterior powers of QQ^N."""
-    import math
-
-    from .glrep import BudgetExceededError
-    if N >= 2 and N >= budget.bit_length():
-        # N^N >= 2^N > budget, without building N^N for a huge N
-        raise BudgetExceededError(
-            f"casimir table for N={N} needs more than {budget} expansion terms")
-    worst = (N ** N) * math.factorial(N) if N >= 2 else 0
-    if worst > budget:
-        raise BudgetExceededError(
-            f"casimir table for N={N} needs {worst} expansion terms; budget {budget}")
+    if N >= 2:
+        check_term_budget(N, N)  # the largest symmetrized sum, k = N
     rows = []
     for k in range(N + 1):
         module = exterior_power(N, k)
-        report = exceptional_check(module, budget)
+        report = exceptional_check(module)
         rows.append({
             "module": module.name,
             "k": k,

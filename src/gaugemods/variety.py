@@ -37,8 +37,8 @@ class Variety:
     The Groebner basis, Jacobian, rank, and dimension are computed at
     construction; charts are computed on first access and cached.
     Properness of the ideal is enforced here; smoothness is *checked*
-    (``smoothness_check`` / ``is_smooth``) but not enforced, so singular
-    inputs can still be examined and reported.  Irreducibility is the
+    (``smoothness_check``) but not enforced, so singular inputs can still
+    be examined and reported.  Irreducibility is the
     caller's responsibility.
     """
 
@@ -139,22 +139,13 @@ class Variety:
 
     # -- smoothness ---------------------------------------------------------
 
-    def smoothness_check(self, power: int = 1) -> bool:
-        """True iff I + <h_j^power over all charts> is the unit ideal.
-
-        power=1 is the Jacobian smoothness criterion; higher powers back
-        the Nullstellensatz step used by the submodule-invariance
-        machinery.
-        """
-        extra = [c.h.rep ** power for c in self.charts]
-        gens = [g for g in self.generators] + [e for e in extra if not e.is_zero()]
+    def smoothness_check(self) -> bool:
+        """True iff I + <h_j over all charts> is the unit ideal: the Jacobian
+        smoothness criterion."""
+        gens = list(self.generators) + [c.h.rep for c in self.charts if not c.h.rep.is_zero()]
         if not gens:
             return False
         return is_unit_ideal(Ideal(self.ring, tuple(gens)), self.order)
-
-    @property
-    def is_smooth(self) -> bool:
-        return self.smoothness_check(1)
 
     # -- vector fields ------------------------------------------------------
 
@@ -343,20 +334,20 @@ def chart_apply(chart: Chart, coeffs: Sequence[LocalizedElement],
     return out
 
 
-def sphere_variety(cap: int = 64) -> Variety:
+def sphere_variety() -> Variety:
     """The unit 2-sphere in QQ[x, y, z]."""
-    ring = PolyRing(("x", "y", "z"), cap)
+    ring = PolyRing(("x", "y", "z"))
     g = ring.var("x") ** 2 + ring.var("y") ** 2 + ring.var("z") ** 2 - 1
     return Variety(ring, [g], name="sphere")
 
 
-def circle_variety(cap: int = 64) -> Variety:
+def circle_variety() -> Variety:
     """The hyperbola-model circle t*s = 1 in QQ[t, s]."""
-    ring = PolyRing(("t", "s"), cap)
+    ring = PolyRing(("t", "s"))
     g = ring.var("t") * ring.var("s") - 1
     return Variety(ring, [g], name="circle")
 
 
-def affine_space(variables: Iterable[str], cap: int = 64) -> Variety:
+def affine_space(variables: Iterable[str]) -> Variety:
     """Affine space: no relations, a single chart with minor 1."""
-    return Variety(PolyRing(tuple(variables), cap), [], name="affine")
+    return Variety(PolyRing(tuple(variables)), [], name="affine")

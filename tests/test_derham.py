@@ -51,6 +51,14 @@ class TestWedgeAlgebra:
                         assert merged == tuple(sorted(subset + (p,)))
                         assert sign == (-1) ** sum(1 for x in subset if x < p)
 
+    def test_exterior_action_signs_are_ints(self):
+        # (-1) ** k is the float -1.0 for a negative odd k
+        signs = [hit[0] for n in range(1, 5) for k in range(n + 1)
+                 for subset in itertools.combinations(range(n), k)
+                 for p, i in itertools.product(range(n), repeat=2)
+                 if (hit := exterior_action(p, i, subset)) is not None]
+        assert {type(s) for s in signs} == {int} and set(signs) == {-1, 1}
+
     def test_exterior_action_matches_matrix_realization(self):
         # the combinatorial replacement must agree with the wedge matrices
         for n in range(1, 5):

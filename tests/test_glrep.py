@@ -367,3 +367,11 @@ class TestStabilizerSum:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             stabilizer_sum(3, 4, budget=10)
+
+    def test_a_huge_rank_is_refused_without_counting_terms(self):
+        # 2^k for k = 10^9 would take 125 MB; the bit-length guard refuses first
+        message = "needs more than 200000 expansion terms"
+        with pytest.raises(BudgetExceededError, match=message):
+            stabilizer_sum(2, 10**9)
+        with pytest.raises(BudgetExceededError, match=message):
+            hat_omega(10**9, 2)

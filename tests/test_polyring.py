@@ -55,6 +55,30 @@ class TestArithmetic:
     def test_mul_difference_of_squares(self):
         assert (X + Y) * (X - Y) == X**2 - Y**2
 
+    def test_variables_and_constants_build_no_fraction(self, monkeypatch):
+        """``Fraction.__new__`` calls, counted as in ``test_integer_form``: a
+        variable or an int constant is an int numerator over 1."""
+        made = 0
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            nonlocal made
+            made += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        built = [RING.var("y"), RING.one(), RING.const(3)]
+        monkeypatch.undo()
+        assert made == 0
+        assert [(p.num, p.den) for p in built] == [({(0, 1, 0): 1}, 1), ({(0, 0, 0): 1}, 1),
+                                                   ({(0, 0, 0): 3}, 1)]
+
+    def test_float_coefficients_are_refused(self):
+        with pytest.raises(TypeError, match="coefficient -1.0 is not an int or a Fraction"):
+            RING.const(-1.0)
+        with pytest.raises(TypeError):
+            RING.monomial((1, 0, 0), 0.5)
+
     def test_mul_identity(self):
         p = X**3 * Y - Z + 2
         assert p * RING.one() == p

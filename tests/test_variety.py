@@ -99,11 +99,6 @@ class TestSmoothness:
         v = Variety(RING, [X**2 + Y**2 - Z**2])
         assert not v.smoothness_check()
 
-    def test_power_variant(self, sphere):
-        # the Nullstellensatz step survives raising the minors to powers
-        assert sphere.smoothness_check(2)
-        assert sphere.smoothness_check(3)
-
     def test_affine_space_smooth(self, affine2):
         assert affine2.smoothness_check()
         (chart,) = affine2.charts
