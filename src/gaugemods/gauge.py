@@ -28,6 +28,13 @@ from .variety import Chart, chart_apply
 LocMatrix = tuple[tuple[LocalizedElement, ...], ...]
 
 
+def _columns(m: Sequence[Sequence]) -> tuple[tuple[tuple[int, object], ...], ...]:
+    """For each column of a square matrix, the (row, entry) pairs of its
+    nonzero entries."""
+    return tuple(tuple((r, row[c]) for r, row in enumerate(m) if row[c])
+                 for c in range(len(m)))
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one exact check, with a rendered witness on failure."""
@@ -57,6 +64,8 @@ class GaugeField:
         for m in self.matrices:
             if any(len(row) != self.dim for row in m):
                 raise ValueError("gauge matrices must be square")
+        # columns[i][u]: the nonzero entries of B_i applied to basis vector u
+        self.columns = tuple(_columns(m) for m in self.matrices)
 
     @classmethod
     def zero(cls, chart: Chart, dim: int) -> "GaugeField":
@@ -73,12 +82,6 @@ class GaugeField:
             mats.append(tuple(tuple(v if i == j else z for j in range(dim))
                               for i in range(dim)))
         return cls(chart, tuple(mats))
-
-    def apply(self, i: int, column: int) -> list[tuple[int, LocalizedElement]]:
-        """Nonzero entries of B_i applied to the basis vector ``column``."""
-        return [(r, self.matrices[i][r][column])
-                for r in range(self.dim)
-                if not self.matrices[i][r][column].is_zero()]
 
     def validate(self, module: GlModule) -> list[CheckResult]:
         """Check the three gauge-field axioms against a module."""
@@ -209,6 +212,10 @@ class GaugeModule:
         self.field = field
         self.oneform = oneform
         self.loc = chart.localization
+        # rho_columns[p][i][u]: the nonzero entries of column u of rho(E_pi), 0-based
+        n = module.N
+        self.rho_columns = tuple(tuple(_columns(module.rho[(p + 1, i + 1)]) for i in range(n))
+                                 for p in range(n))
 
     # -- element constructors ------------------------------------------------
 
@@ -233,27 +240,26 @@ class GaugeModule:
             raise ValueError("one coefficient per chart parameter is required")
         frame = self.chart.frame
         params = self.chart.parameters
-        rho = self.module.rho
+        columns, rho_columns = self.field.columns, self.rho_columns
         out: dict[int, LocalizedElement] = {}
         tau_eta = [[frame.derive(p, fi) for p in params] for fi in eta]
+        # f_i g and g tau_p(f_i) are formed only where a matrix column needs them
         for u, g in x.terms.items():
             for i, fi in enumerate(eta):
                 if not fi.is_zero():
                     dg = frame.derive(params[i], g)
                     if not dg.is_zero():
                         add_term(out, u, fi * dg)
-                    fg = fi * g
-                    for r, b in self.field.apply(i, u):
-                        add_term(out, r, fg * b)
-                for p in range(len(params)):
-                    df = tau_eta[i][p]
-                    if df.is_zero():
-                        continue
-                    mat = rho[(p + 1, i + 1)]
-                    gdf = g * df
-                    for r in range(self.module.dim):
-                        if mat[r][u]:
-                            add_term(out, r, gdf * mat[r][u])
+                    if columns[i][u]:
+                        fg = fi * g
+                        for r, b in columns[i][u]:
+                            add_term(out, r, fg * b)
+                for p, df in enumerate(tau_eta[i]):
+                    column = rho_columns[p][i][u]
+                    if column and not df.is_zero():
+                        gdf = g * df
+                        for r, c in column:
+                            add_term(out, r, gdf * c)
         result = GaugeElement(self.loc, out)
         if self.oneform is not None:
             p_term = self.loc.zero()

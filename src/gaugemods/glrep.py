@@ -118,7 +118,9 @@ class GlModule:
         if N < 1:
             raise ValueError("N must be positive")
         self.N = N
-        self.rho = {k: tuple(tuple(Fraction(x) for x in row) for row in m)
+        # an entry that is a Fraction already is kept as it is
+        self.rho = {k: tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                             for row in m)
                     for k, m in rho.items()}
         dims = {len(m) for m in self.rho.values()}
         if len(dims) != 1:

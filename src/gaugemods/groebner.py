@@ -93,8 +93,12 @@ def _reduce(p: Polynomial, reducers: Sequence[Reducer], dkey: Key) -> Polynomial
     popped monomial never comes back.
 
     Division is linear, so it runs on p's numerators and divides by p's
-    denominator once at the end.
+    denominator once at the end.  When no leading monomial divides any
+    term of p, p is its own remainder, and it comes back in a dict of its
+    own with its terms in descending order, as a division would leave them.
     """
+    if not any(all(map(le, ge, e)) for e in p.num for ge, _ in reducers):
+        return p._sorted(dkey)
     work = dict(p.num)
     heap = [(dkey(e), e) for e in work]
     heapify(heap)
@@ -312,7 +316,7 @@ class QuotientElement:
         return self + (-self._coerce(other))
 
     def __mul__(self, other) -> "QuotientElement":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not QuotientElement and isinstance(other, (int, Fraction)):
             return QuotientElement(self.qring, self.rep * other)
         other = self._coerce(other)
         return self.qring.element(self.rep * other.rep)
@@ -400,15 +404,18 @@ class LocalizedElement:
     """A lazy fraction a / h^p with a in A.
 
     Equality is cross-multiplication in A: (a, p) == (b, q) iff
-    h^q * a == h^p * b.  No cancellation is ever attempted.
+    h^q * a == h^p * b.  No cancellation is ever attempted.  An element
+    is never changed after construction, so it remembers the result of
+    each tau derivation applied to it (see ``TauDerivation.__call__``).
     """
 
-    __slots__ = ("loc", "num", "hpower")
+    __slots__ = ("loc", "num", "hpower", "_derived")
 
     def __init__(self, loc: Localization, num: QuotientElement, hpower: int):
         self.loc = loc
         self.num = num
         self.hpower = hpower if not num.is_zero() else 0
+        self._derived: "dict[TauDerivation, LocalizedElement] | None" = None
 
     def is_zero(self) -> bool:
         # valid because h is not a zero divisor in A
@@ -442,7 +449,7 @@ class LocalizedElement:
         return self + (-self._coerce(other))
 
     def __mul__(self, other) -> "LocalizedElement":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not LocalizedElement and isinstance(other, (int, Fraction)):
             return LocalizedElement(self.loc, self.num * other, self.hpower)
         other = self._coerce(other)
         self._check(other)
@@ -478,12 +485,15 @@ class LocalizedElement:
         return f"LocalizedElement({self})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TauDerivation:
     """The derivation d/dx_i + sum_j f_ij d/dx_j of A_(h).
 
     ``var`` is the distinguished chart parameter; ``corrections`` maps
     the dependent variable names to their localized coefficients f_ij.
+    A derivation compares and hashes by identity, so a result remembered
+    for one derivation is never returned for another, even one with the
+    same parameter name on another chart.
     """
 
     loc: Localization
@@ -514,7 +524,17 @@ class TauDerivation:
         return self.apply_poly(self.loc.h)
 
     def __call__(self, a: "LocalizedElement | QuotientElement | Polynomial") -> LocalizedElement:
-        return loc_partial(self.loc.element(a) if not isinstance(a, LocalizedElement) else a, self)
+        """tau(a), remembered on a LocalizedElement a: the checks derive the
+        same element by the same derivation again and again."""
+        if not isinstance(a, LocalizedElement):
+            return loc_partial(self.loc.element(a), self)
+        derived = a._derived
+        if derived is None:
+            derived = a._derived = {}
+        out = derived.get(self)
+        if out is None:
+            out = derived[self] = loc_partial(a, self)
+        return out
 
 
 def loc_partial(a: LocalizedElement, tau: TauDerivation) -> LocalizedElement:

@@ -114,6 +114,15 @@ class Polynomial(IntForm):
     def _like(self, num: dict[Exponents, int], den: int) -> "Polynomial":
         return Polynomial._own(self.ring, num, den)
 
+    def _sorted(self, key: Callable[[Exponents], tuple]) -> "Polynomial":
+        """The same polynomial with its terms in ``key`` order, in a dict of its
+        own.  The numerators are canonical already, so no gcd is taken."""
+        p = Polynomial.__new__(Polynomial)
+        num = self.num
+        p.ring, p._hash, p._terms = self.ring, self._hash, None
+        p.num, p.den = {e: num[e] for e in sorted(num, key=key)}, self.den
+        return p
+
     # -- basic queries ----------------------------------------------------
 
     def is_constant(self) -> bool:
@@ -131,8 +140,12 @@ class Polynomial(IntForm):
             )
 
     def _operand(self, other: "Polynomial | int | Fraction") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return self.ring.const(other)
+        if type(other) is not Polynomial:
+            if isinstance(other, (int, Fraction)):
+                return self.ring.const(other)
+            if not isinstance(other, Polynomial):
+                raise TypeError(f"cannot combine a polynomial with {type(other).__name__} "
+                                f"{other!r}; use an int, a Fraction or a Polynomial")
         self._check_ring(other)
         return other
 
@@ -151,22 +164,28 @@ class Polynomial(IntForm):
         return (-self) + other
 
     def __mul__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Polynomial and isinstance(other, (int, Fraction)):
             return self._scaled(other)
-        self._check_ring(other)
-        out: dict[Exponents, int] = {}
-        for ea, ca in self.num.items():
-            for eb, cb in other.num.items():
-                e = tuple(map(add, ea, eb))
-                old = out.get(e)
-                if old is None:
-                    out[e] = ca * cb
-                else:
-                    s = old + ca * cb
-                    if s:
-                        out[e] = s
+        other = self._operand(other)
+        a, b = self.num, other.num
+        if len(a) == 1 or len(b) == 1:
+            # a one-term factor shifts the other's exponents, which stay distinct
+            out = {tuple(map(add, ea, eb)): ca * cb
+                   for ea, ca in a.items() for eb, cb in b.items()}
+        else:
+            out = {}
+            for ea, ca in a.items():
+                for eb, cb in b.items():
+                    e = tuple(map(add, ea, eb))
+                    old = out.get(e)
+                    if old is None:
+                        out[e] = ca * cb
                     else:
-                        del out[e]
+                        s = old + ca * cb
+                        if s:
+                            out[e] = s
+                        else:
+                            del out[e]
         _check_degree(self.ring, out)
         return Polynomial._own(self.ring, out, self.den * other.den)
 

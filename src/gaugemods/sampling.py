@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from .groebner import Localization, LocalizedElement
+from .linalg import add_term
 from .polyring import Polynomial, PolyRing
 from .variety import Chart
 
@@ -24,13 +25,14 @@ def rational(rng: random.Random, span: int = 3) -> Fraction:
 
 def polynomial(rng: random.Random, ring: PolyRing, max_degree: int = 2,
                max_terms: int = 3) -> Polynomial:
-    p = ring.zero()
+    """A sum of up to ``max_terms`` random terms; a repeated monomial adds up."""
+    terms: dict[tuple[int, ...], Fraction] = {}
     for _ in range(rng.randint(1, max_terms)):
         exps = [0] * ring.nvars
         for _ in range(rng.randint(0, max_degree)):
             exps[rng.randrange(ring.nvars)] += 1
-        p = p + ring.monomial(exps, rational(rng))
-    return p
+        add_term(terms, tuple(exps), rational(rng))
+    return Polynomial(ring, terms)
 
 
 def localized(rng: random.Random, loc: Localization, max_degree: int = 2,

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from gaugemods import affine_space, circle_variety, sphere_variety
@@ -26,3 +28,22 @@ def affine2():
 @pytest.fixture(scope="session")
 def affine3():
     return affine_space(["x", "y", "z"])
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` wraps ``owner.name`` for one test in a
+    counter and returns it; its ``calls`` is the number of calls so far."""
+
+    def count(owner, name):
+        counter = SimpleNamespace(calls=0)
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counter.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return counter
+
+    return count

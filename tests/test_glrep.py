@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gaugemods.glrep import (
     BudgetExceededError,
+    GlModule,
     GlModuleError,
     NonScalarActionError,
     UEAElement,
@@ -161,6 +162,13 @@ class TestCustomModule:
         zero = [[0, 0], [0, 0]]
         m = custom_module(2, {(i, j): zero for i in (1, 2) for j in (1, 2)})
         assert m.dim == 2
+
+    def test_fraction_entries_are_kept_and_ints_converted(self):
+        half, zero = Fraction(1, 2), Fraction(0)
+        m = GlModule(1, {(1, 1): ((half, zero), (0, 2))})
+        (row0, row1), = m.rho.values()
+        assert row0[0] is half and row0[1] is zero
+        assert [type(x) for x in row1] == [Fraction, Fraction] and row1 == (0, 2)
 
     def test_missing_matrices_rejected(self):
         with pytest.raises(GlModuleError):

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -305,6 +306,27 @@ class TestDivisionOrder:
     def test_non_groebner_bases(self, basis, p, order):
         basis = [g for g in basis if not g.is_zero()] or [SPHERE]
         assert_same_division(GroebnerBasis(RING, order, basis), p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(polynomials(max_degree=3, max_terms=3), min_size=1, max_size=4),
+           polynomials(max_degree=5, max_terms=6), st.sampled_from(ORDERS))
+    def test_nothing_to_divide(self, basis, p, order):
+        """An input none of whose terms a leading monomial divides is its own
+        remainder: it comes back with its terms in descending order, as the
+        reference leaves them, in a dict of its own."""
+        gb = GroebnerBasis(RING, order, [g for g in basis if not g.is_zero()] or [SPHERE])
+        leads = [leading_term(g, order)[0] for g in gb.basis]
+        kept = [e for e in p.num if not any(all(map(le, ge, e)) for ge in leads)]
+        # ascending, so that the remainder has to reorder the terms
+        q = Polynomial(RING, {e: p.terms[e] for e in sorted(kept, key=order.key(RING))})
+        terms_in = list(q.terms.items())
+        got = gb.reduce(q)
+        expected = reference_reduce(q, gb.basis, order)
+        assert list(got.terms.items()) == list(expected.terms.items())
+        assert list(got.num) == sorted(q.num, key=order.descending_key(RING))
+        assert (q.is_zero() or got.num is not q.num) and list(q.terms.items()) == terms_in
+        q.num.clear()
+        assert got == expected
 
     @settings(max_examples=60, deadline=None)
     @given(polynomials(max_degree=6, max_terms=6), st.sampled_from(ORDERS))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugemods import affine_space, circle_variety, sphere_variety
+from gaugemods import affine_space, circle_variety, groebner, sphere_variety
 from gaugemods.groebner import (GroebnerBasis, Ideal, LocalizedElement, QuotientRing, buchberger,
                                  loc_partial)
 from gaugemods.parser import parse_poly
@@ -187,19 +187,59 @@ def test_partials_of_normal_forms_are_normal_forms(data):
         assert gb.reduce(dp) == dp
 
 
-def test_sphere_gauge_grad_normal_form_count(monkeypatch):
+def test_sphere_gauge_grad_normal_form_count(count_calls):
     """Work-count guard: the bundled sphere_gauge_grad scenario at its own
-    seed takes 6,671 normal forms; with the two-sided formulas above it
-    took 16,683.  The bound is half of that."""
-    calls = 0
-    reduce = GroebnerBasis.reduce
-
-    def counted(self, p):
-        nonlocal calls
-        calls += 1
-        return reduce(self, p)
-
-    monkeypatch.setattr(GroebnerBasis, "reduce", counted)
+    seed takes 5,345 normal forms (6,671 before tau derivatives were
+    remembered and unused products skipped); with the two-sided formulas
+    above it took 16,683.  The bound is half of that."""
+    normal_forms = count_calls(GroebnerBasis, "reduce")
     report = run_scenario(load_bundled("sphere_gauge_grad.json"), timing=False)
     assert report["status"] == "pass"
-    assert 0 < calls <= 16_683 // 2
+    assert 0 < normal_forms.calls <= 16_683 // 2
+
+
+def test_sphere_gauge_grad_quotient_rule_count(count_calls):
+    """Work-count guard: an element remembers its tau derivatives, so the
+    bundled sphere_gauge_grad scenario evaluates the quotient rule 693
+    times; evaluated on every call it took 1,398.  The bound is 55% of
+    that."""
+    evaluations = count_calls(groebner, "loc_partial")
+    report = run_scenario(load_bundled("sphere_gauge_grad.json"), timing=False)
+    assert report["status"] == "pass"
+    assert 0 < evaluations.calls <= 1_398 * 55 // 100
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_remembered_derivative_is_the_quotient_rule(data):
+    chart = CHARTS[data.draw(st.sampled_from(sorted(CHARTS)))]
+    a = data.draw(localized(chart))
+    taus = list(chart.frame.taus.values())
+    for tau in data.draw(st.lists(st.sampled_from(taus), min_size=1, max_size=6)):
+        got = tau(a)
+        assert got is tau(a)
+        assert form(got) == form(loc_partial(a, tau)) == form(reference_partial(a, tau))
+
+
+def test_a_derivative_is_remembered_for_its_own_derivation_only():
+    chart = CHARTS["sphere-z"]
+    loc, ring = chart.localization, chart.variety.ring
+    x, y, z = (ring.var(v) for v in "xyz")
+    tau_x, tau_y = chart.frame.taus["x"], chart.frame.taus["y"]
+    a = loc.element(z)
+    assert form(tau_x(a)) == form(loc.element(-x, 1))
+    assert form(tau_y(a)) == form(loc.element(-y, 1))
+    assert form(tau_x(a)) == form(loc.element(-x, 1))
+    # tau_x of an equal chart of a separately built sphere: equal, but not shared
+    other_x = sphere_variety().chart("z").frame.taus["x"]
+    assert other_x.loc == loc and other_x is not tau_x
+    assert other_x(a) is not tau_x(a) and form(other_x(a)) == form(tau_x(a))
+    # another derivation named x on the same localization: d/dx + d/dy
+    plane = CHARTS["affine2"]
+    ploc = plane.localization
+    d_x = plane.frame.taus["x"]
+    d_xy = groebner.TauDerivation(ploc, "x", {"y": ploc.one()})
+    b = ploc.element(ploc.qring.ring.var("y"))
+    assert d_x(b).is_zero()
+    assert form(d_xy(b)) == form(ploc.one())
+    assert d_x(b).is_zero()

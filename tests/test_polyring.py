@@ -79,6 +79,16 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             RING.monomial((1, 0, 0), 0.5)
 
+    @pytest.mark.parametrize("op, kind", [
+        (lambda: X + 1.5, "float"),
+        (lambda: X * 0.5, "float"),
+        (lambda: 1.5 - X, "float"),
+        (lambda: X * "a", "str"),
+    ], ids=["x + 1.5", "x * 0.5", "1.5 - x", "x * 'a'"])
+    def test_an_operand_that_is_not_rational_is_refused(self, op, kind):
+        with pytest.raises(TypeError, match=f"cannot combine a polynomial with {kind}"):
+            op()
+
     def test_mul_identity(self):
         p = X**3 * Y - Z + 2
         assert p * RING.one() == p
