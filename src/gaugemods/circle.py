@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import gauge as gauge_mod
 from .glrep import GlModule, UEAElement, identity, mat_scale
@@ -178,11 +178,14 @@ def p_value_on_v0(alpha: Fraction | int, window: int = DEFAULT_WINDOW) -> Circle
 
 # -- checks ---------------------------------------------------------------------
 
-def witt_bracket_check(n: int, m: int, x: CircleElement) -> bool:
-    """[e_n, e_m] x == (m - n) e_{n+m} x, exactly."""
-    lhs = act_e(n, act_e(m, x)) - act_e(m, act_e(n, x))
-    rhs = act_e(n + m, x).scale(m - n)
-    return lhs == rhs
+def witt_bracket_check(n: int, m: int, x: CircleElement,
+                       e_x: Callable[[int], CircleElement] | None = None) -> bool:
+    """[e_n, e_m] x == (m - n) e_{n+m} x, exactly.  ``e_x(k)`` gives e_k x:
+    a caller checking many (n, m) on one x passes one that remembers."""
+    if e_x is None:
+        e_x = lambda k: act_e(k, x)
+    lhs = act_e(n, e_x(m)) - act_e(m, e_x(n))
+    return lhs == e_x(n + m).scale(m - n)
 
 
 def casimir_scalar_check(alpha: Fraction | int,

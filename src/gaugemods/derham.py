@@ -225,12 +225,13 @@ def gaussian_obstruction(N: int, D: int, scale: Fraction | int = Fraction(-2)) -
     col = {u: c for c, u in enumerate(unknowns)}
 
     one = (0,) * N
-    # the target monomial 1 keeps its equation even when no unknown reaches it (D = 0)
-    rows: dict[tuple[int, ...], list[Fraction]] = {one: [Fraction(0)] * len(unknowns)}
+    # the target monomial 1 keeps its equation even when no unknown reaches it
+    # (D = 0); the zeros are ints, which ``solve`` drops faster than Fraction(0)
+    rows: dict[tuple[int, ...], list[Fraction | int]] = {one: [0] * len(unknowns)}
 
-    def row_of(e: tuple[int, ...]) -> list[Fraction]:
+    def row_of(e: tuple[int, ...]) -> list[Fraction | int]:
         if e not in rows:
-            rows[e] = [Fraction(0)] * len(unknowns)
+            rows[e] = [0] * len(unknowns)
         return rows[e]
 
     for i in range(N):

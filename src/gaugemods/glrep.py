@@ -135,9 +135,10 @@ class GlModule:
         self.name = name or f"gl{N}-module(dim {self.dim})"
         self.basis_labels = tuple(basis_labels) if basis_labels else tuple(
             f"b{i}" for i in range(self.dim))
+        # sparse columns, row -> entry, for applying rho(E_ij) to one vector;
         # ints where the entries are integral, so word products multiply ints
-        self.sparse_rho = {key: tuple({c: x.numerator if x.denominator == 1 else x
-                                       for c, x in enumerate(row) if x} for row in m)
+        self.sparse_rho = {key: tuple({r: x.numerator if x.denominator == 1 else x
+                                       for r, x in enumerate(col) if x} for col in zip(*m))
                            for key, m in self.rho.items()}
         self.sparse_one = tuple({i: 1} for i in range(self.dim))
         self._validate()
@@ -146,9 +147,10 @@ class GlModule:
         rng = range(1, self.N + 1)
         rho, one = self.sparse_rho, self.sparse_one
         for i, j, k, l in itertools.product(rng, repeat=4):
-            # ab - ba - d_jk rho(E_il) + d_li rho(E_kj) must vanish
+            # ab - ba - d_jk rho(E_il) + d_li rho(E_kj) must vanish; on sparse
+            # columns, which are the rows of the transposes, ab is b^T a^T
             a, b = rho[(i, j)], rho[(k, l)]
-            terms = [(1, a, b), (-1, b, a)]
+            terms = [(1, b, a), (-1, a, b)]
             if j == k:
                 terms.append((-1, rho[(i, l)], one))
             if l == i:
@@ -235,9 +237,15 @@ class UEAElement(Combination):
     The symbol (i, j) stands for E_ij of gl_N (see ``evaluate``); the
     circle modules use the integer n for the Witt generator e_n.  A
     word is read left to right; the empty word is the scalar 1.
+    ``evaluate`` keeps the words' suffix trie on the element, built on
+    first use: like ``terms`` of a cached ``casimir``, never change it.
     """
 
-    __slots__ = ()
+    __slots__ = ("_trie",)
+
+    def __init__(self, terms: Mapping[Word, Fraction | int]) -> None:
+        super().__init__(terms)
+        self._trie: "tuple[_Node, tuple[Hashable, ...]] | None" = None
 
     @classmethod
     def generator(cls, symbol: Hashable) -> "UEAElement":
@@ -261,34 +269,80 @@ class UEAElement(Combination):
         return f"UEAElement({len(self.terms)} words)"
 
 
-def evaluate(el: UEAElement, m: GlModule) -> Matrix:
-    """Evaluate a word sum on a module, in Horner form over its prefix trie:
-    E(S) = c_() * I + sum over symbols a of rho(a) * E(words of S after a).
-    The sparse rows may hold ints; the matrix holds only ``Fraction``s."""
-    zero = Fraction(0)
-    return tuple(tuple(Fraction(row[j]) if j in row else zero for j in range(m.dim))
-                 for row in _horner(el.terms, m))
+# a suffix-trie node, [c, children]: c is the coefficient of the word that
+# ends here (0 if none), and children maps each symbol that the words
+# through here have before it to a node, or to the coefficient alone where
+# no word goes further (a leaf, half the nodes of a Casimir sum, costs no list)
+_Node = list
 
 
-def _horner(words: Mapping[Word, Fraction | int], m: GlModule) -> SparseRows:
-    suffixes: dict[Hashable, dict[Word, Fraction | int]] = {}
-    terms = []
+def _suffix_trie(words: Mapping[Word, Fraction | int]) -> tuple[_Node, tuple[Hashable, ...]]:
+    """The words read from their last symbol, as a trie, and every symbol."""
+    root: _Node = [0, {}]
+    symbols: dict[Hashable, None] = {}
     for word, coeff in words.items():
-        if word:
-            suffixes.setdefault(word[0], {})[word[1:]] = coeff
+        if not word:
+            root[0] = coeff
+            continue
+        symbols.update(dict.fromkeys(word))
+        node = root
+        for a in reversed(word[1:]):
+            child = node[1].get(a, 0)
+            if type(child) is not list:
+                child = node[1][a] = [child, {}]
+            node = child
+        child = node[1].get(word[0])
+        if type(child) is list:
+            child[0] = coeff
         else:
-            terms.append((coeff, m.sparse_one, m.sparse_one))
-    for symbol, rest in suffixes.items():
-        rho = m.sparse_rho.get(symbol)
-        if rho is None:
-            raise ValueError(f"symbol {symbol!r} out of range for N={m.N}")
-        # a word ending after the symbol adds c * rho(a): no product with c * I
-        ends = rest.pop((), None)
-        if ends is not None:
-            terms.append((ends, rho, m.sparse_one))
-        if rest:
-            terms.append((1, rho, _horner(rest, m)))
-    return sparse_sum(m.dim, terms)
+            node[1][word[0]] = coeff
+    return root, tuple(symbols)
+
+
+def evaluate(el: UEAElement, m: GlModule) -> Matrix:
+    """Evaluate a word sum on a module, one basis vector v at a time:
+    E(S) v = c_() * v + sum over symbols a of E(S_a)(rho(a) v),
+    where S_a holds the words of S ending in a, with that a taken off.
+    A path whose vector is zero is dropped with its whole subtree, but
+    every symbol is checked against the module first.  The columns may
+    hold ints; the matrix holds only ``Fraction``s."""
+    if el._trie is None:
+        el._trie = _suffix_trie(el.terms)
+    root, symbols = el._trie
+    rho = m.sparse_rho
+    for a in symbols:
+        if a not in rho:
+            raise ValueError(f"symbol {a!r} out of range for N={m.N}")
+    columns = []
+    for j in range(m.dim):
+        out: Row = {}
+        _apply(root, {j: 1}, rho, out)
+        columns.append(out)
+    zero = Fraction(0)
+    return tuple(tuple(Fraction(col[i]) if i in col else zero for col in columns)
+                 for i in range(m.dim))
+
+
+def _apply(node: _Node, v: Row, rho: Mapping[Hashable, SparseRows], out: Row) -> None:
+    """out += E(S) v, for S the words of the trie below node; v is nonzero."""
+    coeff, children = node
+    if coeff:
+        for i, x in v.items():
+            add_term(out, i, coeff * x)
+    for a, child in children.items():
+        cols = rho[a]
+        w: Row = {}
+        for k, x in v.items():
+            for i, y in cols[k].items():
+                w[i] = w[i] + x * y if i in w else x * y
+        w = {i: x for i, x in w.items() if x}
+        if not w:
+            continue
+        if type(child) is list:
+            _apply(child, w, rho, out)
+        else:
+            for i, x in w.items():
+                add_term(out, i, child * x)
 
 
 @functools.lru_cache

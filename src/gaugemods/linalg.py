@@ -202,7 +202,7 @@ def echelon(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[Row]]
         if lead is None:
             rest.append(row)
             continue
-        pv = row[lead]
+        pv = Fraction(row[lead])  # an int pivot must not make floats
         row = {k: x / pv for k, x in row.items()}
         for other in pivots.values():
             if lead in other:

@@ -12,6 +12,7 @@ record can be timed individually.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -539,14 +540,19 @@ def _run_circle(scn: dict) -> Iterator[dict]:
 
     if want("circle.witt"):
         status, witness = "pass", f"n,m in [-{grid},{grid}] on {len(basis_grid)} vectors"
+        # each e_k x, computed when first needed, so in the order of the
+        # brackets, and forgotten when the check ends
+        acted = [functools.lru_cache(maxsize=None)(lambda k, x=x: circle_mod.act_e(k, x))
+                 for x in basis_grid]
         # lazily: a huge grid leaves the index window at its first pair
         for n, m in ((n, m) for n in range(-grid, grid + 1) for m in range(-grid, grid + 1)):
-            bad = next((x for x in basis_grid
-                        if not circle_mod.witt_bracket_check(n, m, x)), None)
+            bad = next((x for x, e_x in zip(basis_grid, acted)
+                        if not circle_mod.witt_bracket_check(n, m, x, e_x)), None)
             if bad is not None:
                 status = "fail"
                 witness = f"[e_{n}, e_{m}] fails on {bad} (alpha={bad.alpha})"
                 break
+        del acted
         yield _record("circle.witt", status, witness)
 
     if want("circle.casimir"):

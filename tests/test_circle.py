@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from gaugemods import circle as circle_mod
 from gaugemods.circle import (
     CircleElement,
     IndexWindowError,
@@ -221,3 +222,40 @@ def test_exact_linalg_circle_scenario_matches_the_recorded_report():
     assert expected["circle_grid"] == EXACT_LINALG_CIRCLE["grid"]
     report = run_scenario(validate_scenario(dict(EXACT_LINALG_CIRCLE)), timing=False)
     assert json.loads(json.dumps(report)) == expected["circle"]
+
+
+def _witt(scenario: dict) -> dict:
+    report = run_scenario(validate_scenario(dict(scenario, checks=["circle.witt"])),
+                          timing=False)
+    return report["checks"][0]
+
+
+def test_the_witt_check_acts_once_per_basis_vector_and_generator(count_calls):
+    """e_k x is remembered for each basis vector x while the check runs: the
+    grid-5 scenario makes 11,150 ``act_e`` calls; computed again for every
+    bracket, it made 24,830."""
+    acted = count_calls(circle_mod, "act_e")
+    run_scenario(validate_scenario(dict(EXACT_LINALG_CIRCLE)), timing=False)
+    assert acted.calls <= 11_200
+
+
+def test_a_wrong_action_on_one_basis_vector_names_the_first_failing_bracket(monkeypatch):
+    original, bad = act_e, basis_u(Fraction(1, 2), -1)
+
+    def wrong(n, x):
+        y = original(n, x)
+        return y + basis_v(x.alpha, 0) if n == 2 and x == bad else y
+
+    monkeypatch.setattr(circle_mod, "act_e", wrong)
+    assert _witt(EXACT_LINALG_CIRCLE) == {
+        "name": "circle.witt", "status": "fail",
+        "witness": "[e_-5, e_2] fails on u[-1] (alpha=1/2)"}
+
+
+@pytest.mark.parametrize("grid, index", [(7, 17), (8, -18)])
+def test_a_grid_too_wide_for_the_window_fails_at_the_same_action(grid, index):
+    # the same action as when every bracket computed its own e_k x
+    with pytest.raises(IndexWindowError,
+                       match=rf"^index {index} outside the support window \[-16, 16\]$"):
+        _witt({"schema": "1", "kind": "circle", "name": "circle",
+               "alphas": ["0", "1/2"], "grid": grid, "seed": 0})

@@ -260,6 +260,12 @@ class TestObstruction:
         assert gaussian_obstruction(4, 6).status == "INFEASIBLE_UP_TO_D"
         assert gaussian_obstruction(4, 6, 0).status == "FEASIBLE"
 
+    def test_full_size_control_solution(self):
+        # the rows hold int zeros; the reduced echelon form, and so the
+        # solution with free unknowns zero, is the one Fraction zeros gave
+        (f1, f2, f3, f4) = gaussian_obstruction(4, 6, 0).solution
+        assert f1 == f1.ring.var("x1") and f2.is_zero() and f3.is_zero() and f4.is_zero()
+
     def test_gaussian_scale_recorded(self):
         result = gaussian_obstruction(1, 2)
         assert result.scale == Fraction(-2) and result.N == 1 and result.max_degree == 2

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaugemods.glrep import (
@@ -91,15 +91,18 @@ WORD_MODULES = [exterior_power(3, k) for k in range(4)] + [
 
 @st.composite
 def word_sums(draw, N):
-    """Word sums whose words extend a few shared prefixes, with fractional
-    coefficients; the empty word may appear, as a word or as a prefix."""
+    """Word sums whose words extend a few shared prefixes and end in a few
+    shared suffixes, with fractional coefficients; the empty word may
+    appear, as a word, as a prefix or as a suffix."""
     symbol = st.tuples(st.integers(1, N), st.integers(1, N))
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=5)
-    prefixes = draw(st.lists(st.lists(symbol, max_size=3).map(tuple), min_size=1, max_size=3))
+    affixes = st.lists(st.lists(symbol, max_size=3).map(tuple), min_size=1, max_size=3)
+    prefixes, suffixes = draw(affixes), draw(affixes)
     words = {}
     for _ in range(draw(st.integers(0, 10))):
-        suffix = tuple(draw(st.lists(symbol, max_size=2)))
-        words[draw(st.sampled_from(prefixes)) + suffix] = draw(coeff)
+        middle = tuple(draw(st.lists(symbol, max_size=2)))
+        words[draw(st.sampled_from(prefixes)) + middle + draw(st.sampled_from(suffixes))] = \
+            draw(coeff)
     return UEAElement(words)
 
 
@@ -223,6 +226,15 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(UEAElement(words), exterior_power(2, 1))
 
+    @pytest.mark.parametrize("m, word", [
+        # every rho(E_ij) is 0 on Lambda^0, and rho(E_21)^2 is 0 on QQ^2
+        (exterior_power(2, 0), ((3, 1), (1, 1))),
+        (exterior_power(2, 1), ((3, 1), (2, 1), (2, 1))),
+    ])
+    def test_out_of_range_symbol_behind_a_zero_path(self, m, word):
+        with pytest.raises(ValueError, match=r"symbol \(3, 1\) out of range for N=2"):
+            evaluate(UEAElement({word: 1, ((1, 1),): 1}), m)
+
     def test_empty_element_is_zero_matrix(self):
         for m in (exterior_power(3, 2), symmetric_square(2)):
             assert evaluate(UEAElement({}), m) == zero_matrix(m.dim)
@@ -230,6 +242,12 @@ class TestEvaluate:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(WORD_MODULES).flatmap(
         lambda m: st.tuples(st.just(m), word_sums(m.N))))
+    # on Lambda^0 every path is zero, and on Lambda^N every path through
+    # an E_ij with i != j
+    @example((exterior_power(3, 0), hat_omega(3, 3)))
+    @example((exterior_power(3, 3), hat_omega(3, 3)))
+    @example((exterior_power(4, 0), casimir(4, 4) + UEAElement.scalar(Fraction(1, 2))))
+    @example((exterior_power(4, 4), hat_omega(4, 4)))
     def test_equals_word_by_word_reference(self, case):
         m, el = case
         got = evaluate(el, m)

@@ -169,14 +169,18 @@ def test_rational_views_of_results(a):
 def test_results_share_no_numerator_dict(ta, tb, c):
     """Changing the dict given to the constructor, an operand's numerators or
     its ``terms`` view leaves every earlier result unchanged; a write to the
-    view changes neither the value nor the rendering of the operand."""
+    view changes neither the value nor the rendering of the operand.  Normal
+    forms of a and of 0 count as results, against the sphere basis and
+    against the empty basis of affine space."""
     given_terms = dict(ta)
     made = Polynomial(RING, given_terms)
     a, b = Polynomial(RING, ta), Polynomial(RING, tb)
+    zero = Polynomial(RING, {})
+    nothing = GroebnerBasis(RING, GB_SPHERE.order, [])
     results = [made, a + b, a - b, b - a, a * b, a * c, c * a, a + c, c - a, -a,
-               a.partial("x"), a**1, a**2, RING.zero() + a]
-    if not a.is_zero():
-        results.append(GB_SPHERE.reduce(a))
+               a.partial("x"), a**1, a**2, RING.zero() + a,
+               GB_SPHERE.reduce(a), nothing.reduce(a), GB_SPHERE.reduce(zero),
+               nothing.reduce(zero)]
     expected = [(dict(r.num), r.den, dict(r.terms), str(r)) for r in results]
     text, value = str(a), hash(a)
     a.terms[(8, 0, 0)] = Fraction(1)
@@ -185,6 +189,7 @@ def test_results_share_no_numerator_dict(ta, tb, c):
     given_terms[(9, 0, 0)] = Fraction(1)
     a.num[(8, 0, 0)] = 1
     b.num.clear()
+    zero.num[(7, 0, 0)] = 1
     assert [(r.num, r.den, r.terms, str(r)) for r in results] == expected
 
 

@@ -14,7 +14,7 @@ from gaugemods.circle import CircleElement
 from gaugemods.derham import FormElement
 from gaugemods.gauge import GaugeField, GaugeModule
 from gaugemods.glrep import UEAElement, exterior_power
-from gaugemods.linalg import add_term, det, rank, solve
+from gaugemods.linalg import add_term, det, echelon, rank, solve
 from gaugemods.variety import Variety, sphere_variety
 
 from test_polyring import RING, SPHERE, X, Y, Z
@@ -180,6 +180,30 @@ def test_rank_and_solve_equal_dense_reference(system):
     assert x == reference_solve(matrix, rhs)
     if x is not None:
         assert _apply(matrix, x) == rhs
+
+
+def test_int_entries_give_fractions():
+    x = solve([[2, 1], [1, 3]], [1, 2])
+    assert x == [Fraction(1, 5), Fraction(3, 5)]
+    assert all(type(c) is Fraction for c in x)
+    pivots, rest = echelon([{0: 2, 1: 1}, {0: 4, 1: 2}, {0: 1, 1: 3}], 2)
+    assert pivots == {0: {0: 1}, 1: {1: 1}} and rest == [{}]
+    assert all(type(c) is Fraction for row in pivots.values() for c in row.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 6), st.integers(1, 6), st.data())
+def test_int_matrices_equal_their_fraction_copies(seed, nrows, ncols, data):
+    k = data.draw(st.integers(0, min(nrows, ncols)))
+    matrix = _planted(seed, nrows, ncols, k)
+    rhs = [Fraction(data.draw(st.integers(-4, 4))) for _ in range(nrows)]
+    ints = [[int(x) for x in row] for row in matrix]
+    assert rank(ints) == rank(matrix) == k
+    x = solve(ints, [int(b) for b in rhs])
+    assert x == solve(matrix, rhs)
+    assert x is None or all(type(c) is Fraction for c in x)
+    pivots, _ = echelon([{c: x for c, x in enumerate(row) if x} for row in ints], ncols)
+    assert all(type(c) is Fraction for row in pivots.values() for c in row.values())
 
 
 def test_solve_and_rank_leave_arguments_unchanged():
