@@ -271,8 +271,7 @@ class UEAElement(Combination):
 
 # a suffix-trie node, [c, children]: c is the coefficient of the word that
 # ends here (0 if none), and children maps each symbol that the words
-# through here have before it to a node, or to the coefficient alone where
-# no word goes further (a leaf, half the nodes of a Casimir sum, costs no list)
+# through here have before it to a node
 _Node = list
 
 
@@ -281,21 +280,11 @@ def _suffix_trie(words: Mapping[Word, Fraction | int]) -> tuple[_Node, tuple[Has
     root: _Node = [0, {}]
     symbols: dict[Hashable, None] = {}
     for word, coeff in words.items():
-        if not word:
-            root[0] = coeff
-            continue
         symbols.update(dict.fromkeys(word))
         node = root
-        for a in reversed(word[1:]):
-            child = node[1].get(a, 0)
-            if type(child) is not list:
-                child = node[1][a] = [child, {}]
-            node = child
-        child = node[1].get(word[0])
-        if type(child) is list:
-            child[0] = coeff
-        else:
-            node[1][word[0]] = coeff
+        for a in reversed(word):
+            node = node[1].setdefault(a, [0, {}])
+        node[0] = coeff
     return root, tuple(symbols)
 
 
@@ -336,13 +325,8 @@ def _apply(node: _Node, v: Row, rho: Mapping[Hashable, SparseRows], out: Row) ->
             for i, y in cols[k].items():
                 w[i] = w[i] + x * y if i in w else x * y
         w = {i: x for i, x in w.items() if x}
-        if not w:
-            continue
-        if type(child) is list:
+        if w:
             _apply(child, w, rho, out)
-        else:
-            for i, x in w.items():
-                add_term(out, i, child * x)
 
 
 @functools.lru_cache
