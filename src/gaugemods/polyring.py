@@ -116,11 +116,13 @@ class Polynomial(IntForm):
 
     def _sorted(self, key: Callable[[Exponents], tuple]) -> "Polynomial":
         """The same polynomial with its terms in ``key`` order, in a dict of its
-        own.  The numerators are canonical already, so no gcd is taken."""
+        own.  The numerators are canonical already, so no gcd is taken, and
+        fewer than two terms are in order already."""
         p = Polynomial.__new__(Polynomial)
         num = self.num
         p.ring, p._hash, p._terms = self.ring, self._hash, None
-        p.num, p.den = {e: num[e] for e in sorted(num, key=key)}, self.den
+        p.num = {e: num[e] for e in sorted(num, key=key)} if len(num) > 1 else dict(num)
+        p.den = self.den
         return p
 
     # -- basic queries ----------------------------------------------------
