@@ -6,12 +6,14 @@ needs.  Validation happens before any computation; failures raise
 ``ScenarioError`` with the offending path.  Check execution is
 deterministic for a fixed scenario and seed, and every record carries a
 status of ``pass``, ``fail``, or ``computed`` (values that are reported
-but deliberately not adjudicated).  Runners are generators so that each
-record can be timed individually.
+but deliberately not adjudicated).  Each kind has one table: a setup that
+builds what its checks share, and its checks by name.  ``run_scenario``
+times the setup and each check apart.
 """
 
 from __future__ import annotations
 
+import difflib
 import functools
 import itertools
 import json
@@ -20,7 +22,8 @@ import time
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable
 
 from . import circle as circle_mod
 from . import derham as derham_mod
@@ -48,8 +51,6 @@ from .polyring import PolyRing
 from .variety import Chart, Variety
 
 SCHEMA_VERSION = "1"
-
-KINDS = ("variety", "gauge", "derham", "circle", "casimir_table")
 
 
 class ScenarioError(ValueError):
@@ -122,6 +123,12 @@ def validate_scenario(scn: Any, path: str = "scenario") -> dict:
     if checks is not None and (not isinstance(checks, list)
                                or not all(isinstance(c, str) for c in checks)):
         raise ScenarioError(f"{path}.checks: expected a list of check names")
+    table = _TABLES[kind][1]
+    for i, name in enumerate(checks or ()):
+        if name not in table:
+            close = difflib.get_close_matches(name, table, n=1)
+            hint = f"did you mean {close[0]!r}?" if close else f"expected one of {list(table)}"
+            raise ScenarioError(f"{path}.checks[{i}]: unknown {kind} check {name!r}; {hint}")
     return scn
 
 
@@ -272,48 +279,50 @@ def select_chart(v: Variety, selector, path: str = "scenario.chart") -> Chart:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-# -- check records -------------------------------------------------------------
+# -- check tables ----------------------------------------------------------------
+#
+# A kind's setup builds what its checks share (its errors exit 2 before any
+# check runs); its table maps each check name to a function from that context
+# to (status, witness).  Checks run in table order, so a shared random stream
+# is drawn in a fixed order.  Entries call package functions by their module-
+# level names at call time, so a wrapper installed on those names sees them.
 
-def _record(name: str, status: str, witness=None) -> dict:
-    rec = {"name": name, "status": status}
-    if witness is not None:
-        rec["witness"] = witness
-    return rec
+def _status(ok: bool) -> str:
+    return "pass" if ok else "fail"
+
+
+def _sampled(samples: int, trial: Callable[[int], str | None]) -> tuple[str, str]:
+    """Run ``trial`` on samples 0, 1, ...; the first witness it returns fails the check."""
+    for i in range(samples):
+        witness = trial(i)
+        if witness is not None:
+            return "fail", witness
+    return "pass", f"{samples} samples"
+
+
+def _failure(i: int, result) -> str | None:
+    return None if result.ok else f"sample {i}: {result.witness}"
 
 
 # -- variety checks -------------------------------------------------------------
 
-def _run_variety(scn: dict) -> Iterator[dict]:
-    spec = scn.get("variety", scn)
-    v = build_variety(spec)
-    want = _selector(scn)
-
-    if want("variety.proper"):
-        yield _record("variety.proper", "pass", f"rank {v.rank}, dimension {v.dim}")
-    if want("variety.smooth"):
-        ok = v.smoothness_check()
-        yield _record("variety.smooth", "pass" if ok else "fail",
-                      None if ok else "minor ideal is not the unit ideal")
-    if want("variety.charts"):
-        names = [c.name for c in v.charts]
-        yield _record("variety.charts", "pass",
-                      {"count": len(names), "minors": names})
-    if want("variety.frames"):
-        ok = all(c.frame.check() for c in v.charts)
-        yield _record("variety.frames", "pass" if ok else "fail")
+def _variety_charts(v: Variety) -> tuple[str, dict]:
+    names = [c.name for c in v.charts]
+    return "pass", {"count": len(names), "minors": names}
 
 
-def _selector(scn: dict) -> Callable[[str], bool]:
-    wanted = scn.get("checks")
-    if wanted is None:
-        return lambda name: True
-    wanted_set = set(wanted)
-    return lambda name: name in wanted_set
+_VARIETY_CHECKS = {
+    "variety.proper": lambda v: ("pass", f"rank {v.rank}, dimension {v.dim}"),
+    "variety.smooth": lambda v: (("pass", None) if v.smoothness_check()
+                                 else ("fail", "minor ideal is not the unit ideal")),
+    "variety.charts": _variety_charts,
+    "variety.frames": lambda v: (_status(all(c.frame.check() for c in v.charts)), None),
+}
 
 
 # -- gauge checks ----------------------------------------------------------------
 
-def _run_gauge(scn: dict) -> Iterator[dict]:
+def _setup_gauge(scn: dict) -> SimpleNamespace:
     v = build_variety(scn["variety"], "scenario.variety")
     chart = select_chart(v, scn["chart"])
     n = len(chart.parameters)
@@ -328,33 +337,16 @@ def _run_gauge(scn: dict) -> Iterator[dict]:
     except ValueError as exc:
         raise ScenarioError(f"scenario.module: {exc}") from exc
     seed = scn.get("seed", 0)
-    samples = scn.get("samples", 50)
-    want = _selector(scn)
+    # av_compat and then lie_action draw from one stream
+    return SimpleNamespace(variety=v, gm=gm, axioms=validate_gauge(gm), seed=seed,
+                           samples=scn.get("samples", 50), rng=random.Random(seed))
 
-    if want("variety.smooth"):
-        ok = v.smoothness_check()
-        yield _record("variety.smooth", "pass" if ok else "fail")
 
-    axioms = validate_gauge(gm)
-    if want("gauge.validate"):
-        bad = [a for a in axioms if not a.ok]
-        if bad:
-            yield _record("gauge.validate", "fail", {a.name: a.witness for a in bad})
-        else:
-            yield _record("gauge.validate", "pass", [a.name for a in axioms])
-
-    valid_field = all(a.ok for a in axioms)
-    rng = random.Random(seed)
-    if want("gauge.av_compat"):
-        yield _sampled_gauge_check(
-            "gauge.av_compat", gm, rng, samples, valid_field,
-            lambda gm, eta, mu, f, x: check_av_compat(gm, eta, f, x))
-    if want("gauge.lie_action"):
-        yield _sampled_gauge_check(
-            "gauge.lie_action", gm, rng, samples, valid_field,
-            lambda gm, eta, mu, f, x: check_lie_action(gm, eta, mu, x))
-    if want("gauge.twist_roundtrip"):
-        yield _twist_roundtrip(gm, random.Random(seed + 1), max(10, samples // 5))
+def _gauge_validate(c: SimpleNamespace) -> tuple[str, Any]:
+    bad = [a for a in c.axioms if not a.ok]
+    if bad:
+        return "fail", {a.name: a.witness for a in bad}
+    return "pass", [a.name for a in c.axioms]
 
 
 def _random_gauge_element(rng: random.Random, gm: GaugeModule, terms: int = 2):
@@ -365,43 +357,63 @@ def _random_gauge_element(rng: random.Random, gm: GaugeModule, terms: int = 2):
     })
 
 
-def _sampled_gauge_check(name: str, gm: GaugeModule, rng: random.Random,
-                         samples: int, valid_field: bool, runner) -> dict:
-    if not valid_field:
-        return _record(name, "fail", "gauge field failed validation; check skipped")
-    loc = gm.chart.localization
-    for i in range(samples):
+def _sampled_gauge_check(c: SimpleNamespace, check) -> tuple[str, str]:
+    """``check(gm, eta, mu, f, x)`` on random fields, functions and elements."""
+    if not all(a.ok for a in c.axioms):
+        return "fail", "gauge field failed validation; check skipped"
+    gm, rng = c.gm, c.rng
+
+    def trial(i: int) -> str | None:
         eta = sampling.chart_field(rng, gm.chart)
         mu = sampling.chart_field(rng, gm.chart)
-        f = sampling.localized(rng, loc)
-        x = _random_gauge_element(rng, gm)
-        result = runner(gm, eta, mu, f, x)
-        if not result.ok:
-            return _record(name, "fail", f"sample {i}: {result.witness}")
-    return _record(name, "pass", f"{samples} samples")
+        f = sampling.localized(rng, gm.chart.localization)
+        return _failure(i, check(gm, eta, mu, f, _random_gauge_element(rng, gm)))
+    return _sampled(c.samples, trial)
 
 
-def _twist_roundtrip(gm: GaugeModule, rng: random.Random, samples: int) -> dict:
+def _twist_roundtrip(c: SimpleNamespace) -> tuple[str, str]:
+    gm, rng = c.gm, random.Random(c.seed + 1)
     loc = gm.chart.localization
     potential = sampling.polynomial(rng, gm.chart.variety.ring, 2, 2)
-    coeffs = [gm.chart.frame.derive(p, loc.element(potential))
-              for p in gm.chart.parameters]
-    omega = OneForm(gm.chart, coeffs)
+    omega = OneForm(gm.chart, [gm.chart.frame.derive(p, loc.element(potential))
+                               for p in gm.chart.parameters])
     twisted = gm.twist(omega)
     untwisted = twisted.twist(omega.negate())
-    for i in range(samples):
+
+    def trial(i: int) -> str | None:
         eta = sampling.chart_field(rng, gm.chart)
         x = _random_gauge_element(rng, gm)
         if not (untwisted.act(eta, x) == gm.act(eta, x)):
-            return _record("gauge.twist_roundtrip", "fail", f"sample {i}")
+            return f"sample {i}"
         lie = check_lie_action(twisted, eta, sampling.chart_field(rng, gm.chart), x)
-        if not lie.ok:
-            return _record("gauge.twist_roundtrip", "fail",
-                           f"twisted action fails Lie property at sample {i}: {lie.witness}")
-    return _record("gauge.twist_roundtrip", "pass", f"{samples} samples")
+        return None if lie.ok else \
+            f"twisted action fails Lie property at sample {i}: {lie.witness}"
+    return _sampled(max(10, c.samples // 5), trial)
+
+
+_GAUGE_CHECKS = {
+    "variety.smooth": lambda c: (_status(c.variety.smoothness_check()), None),
+    "gauge.validate": _gauge_validate,
+    "gauge.av_compat": lambda c: _sampled_gauge_check(
+        c, lambda gm, eta, mu, f, x: check_av_compat(gm, eta, f, x)),
+    "gauge.lie_action": lambda c: _sampled_gauge_check(
+        c, lambda gm, eta, mu, f, x: check_lie_action(gm, eta, mu, x)),
+    "gauge.twist_roundtrip": _twist_roundtrip,
+}
 
 
 # -- de Rham checks ----------------------------------------------------------------
+
+def _setup_derham(scn: dict) -> SimpleNamespace:
+    chart = select_chart(build_variety(scn["variety"], "scenario.variety"), scn["chart"])
+    B = build_scalar_gauge(scn, chart)
+    seed = scn.get("seed", 0)
+    # complex and then morphism draw from one stream
+    return SimpleNamespace(chart=chart, B=B, n=len(chart.parameters), seed=seed,
+                           samples=scn.get("samples", 50), rng=random.Random(seed),
+                           max_degree=scn.get("maxDegree", 4),
+                           zero_b=all(b.is_zero() for b in B))
+
 
 def _random_form(rng: random.Random, chart: Chart, degree: int, terms: int = 2):
     n = len(chart.parameters)
@@ -412,218 +424,192 @@ def _random_form(rng: random.Random, chart: Chart, degree: int, terms: int = 2):
     })
 
 
-def _run_derham(scn: dict) -> Iterator[dict]:
-    v = build_variety(scn["variety"], "scenario.variety")
-    chart = select_chart(v, scn["chart"])
-    B = build_scalar_gauge(scn, chart)
-    n = len(chart.parameters)
-    seed = scn.get("seed", 0)
-    samples = scn.get("samples", 50)
-    max_degree = scn.get("maxDegree", 4)
-    want = _selector(scn)
+def _derham_complex(c: SimpleNamespace) -> tuple[str, str]:
+    if c.n < 2:
+        # no degree to sample, so nothing is checked
+        return "computed", "no degrees below N-1; vacuous"
 
-    rng = random.Random(seed)
-    if want("derham.complex"):
-        status, witness = "pass", f"{samples} samples"
-        if n < 2:
-            witness = "no degrees below N-1; vacuous"
-        else:
-            for i in range(samples):
-                x = _random_form(rng, chart, rng.randrange(0, n - 1))
-                result = derham_mod.check_complex(B, x)
-                if not result.ok:
-                    status, witness = "fail", f"sample {i}: {result.witness}"
-                    break
-        yield _record("derham.complex", status, witness)
+    def trial(i: int) -> str | None:
+        x = _random_form(c.rng, c.chart, c.rng.randrange(0, c.n - 1))
+        return _failure(i, derham_mod.check_complex(c.B, x))
+    return _sampled(c.samples, trial)
 
-    if want("derham.morphism"):
-        status, witness = "pass", f"{samples} samples"
-        for i in range(samples):
-            x = _random_form(rng, chart, rng.randrange(0, n))
-            eta = sampling.chart_field(rng, chart)
-            result = derham_mod.check_morphism(B, eta, x)
-            if not result.ok:
-                status, witness = "fail", f"sample {i}: {result.witness}"
-                break
-        yield _record("derham.morphism", status, witness)
 
-    if want("derham.not_a_morphism"):
-        try:
-            f, x, lhs, rhs = derham_mod.witness_not_a_morphism(chart, B)
-            yield _record(
-                "derham.not_a_morphism", "pass",
-                f"f={f}, x={x.render()}: d(f.x)={lhs.render()} != f.d(x)={rhs.render()}")
-        except AssertionError as exc:
-            yield _record("derham.not_a_morphism", "fail", str(exc))
+def _derham_morphism(c: SimpleNamespace) -> tuple[str, str]:
+    def trial(i: int) -> str | None:
+        x = _random_form(c.rng, c.chart, c.rng.randrange(0, c.n))
+        eta = sampling.chart_field(c.rng, c.chart)
+        return _failure(i, derham_mod.check_morphism(c.B, eta, x))
+    return _sampled(c.samples, trial)
 
-    zero_b = all(b.is_zero() for b in B)
-    if want("derham.kernel_witness"):
-        status, witness = "pass", "d(1 (x) e_1..e_k) = 0 for all k < N"
-        if not zero_b:
-            status, witness = "computed", "witness requires zero gauge fields; skipped"
-        else:
-            loc = chart.localization
-            for k in range(0, n):
-                x = derham_mod.FormElement(chart, k, {tuple(range(k)): loc.one()})
-                dx = derham_mod.d(B, x)
-                if not dx.is_zero():
-                    status, witness = "fail", f"d at degree {k} gave {dx.render()}"
-                    break
-        yield _record("derham.kernel_witness", status, witness)
 
-    if want("derham.image_witness"):
-        status = "pass"
-        witness = "d(t_1 (x) e_2..e_{k+1}) = 1 (x) e_1..e_{k+1} for all k < N"
-        if not zero_b:
-            status, witness = "computed", "witness requires zero gauge fields; skipped"
-        else:
-            loc = chart.localization
-            t1 = loc.element(v.ring.var(chart.parameters[0]))
-            for k in range(0, n):
-                x = derham_mod.FormElement(chart, k, {tuple(range(1, k + 1)): t1})
-                expected = derham_mod.FormElement(
-                    chart, k + 1, {tuple(range(k + 1)): loc.one()})
-                dx = derham_mod.d(B, x)
-                if not (dx == expected):
-                    status, witness = "fail", f"degree {k}: {dx.render()}"
-                    break
-        yield _record("derham.image_witness", status, witness)
+def _not_a_morphism(c: SimpleNamespace) -> tuple[str, str]:
+    try:
+        f, x, lhs, rhs = derham_mod.witness_not_a_morphism(c.chart, c.B)
+    except AssertionError as exc:
+        return "fail", str(exc)
+    return "pass", f"f={f}, x={x.render()}: d(f.x)={lhs.render()} != f.d(x)={rhs.render()}"
 
-    if want("derham.obstruction"):
-        verdict = derham_mod.gaussian_obstruction(n, max_degree)
-        control = derham_mod.gaussian_obstruction(n, max(1, max_degree), 0)
-        ok = (not verdict.feasible) and control.feasible
-        yield _record(
-            "derham.obstruction", "pass" if ok else "fail",
-            {"gaussian": verdict.status, "maxDegree": max_degree,
+
+_NEEDS_ZERO_B = ("computed", "witness requires zero gauge fields; skipped")
+
+
+def _kernel_witness(c: SimpleNamespace) -> tuple[str, str]:
+    if not c.zero_b:
+        return _NEEDS_ZERO_B
+    for k in range(c.n):
+        x = derham_mod.FormElement(c.chart, k, {tuple(range(k)): c.chart.localization.one()})
+        dx = derham_mod.d(c.B, x)
+        if not dx.is_zero():
+            return "fail", f"d at degree {k} gave {dx.render()}"
+    return "pass", "d(1 (x) e_1..e_k) = 0 for all k < N"
+
+
+def _image_witness(c: SimpleNamespace) -> tuple[str, str]:
+    if not c.zero_b:
+        return _NEEDS_ZERO_B
+    loc = c.chart.localization
+    t1 = loc.element(c.chart.variety.ring.var(c.chart.parameters[0]))
+    for k in range(c.n):
+        x = derham_mod.FormElement(c.chart, k, {tuple(range(1, k + 1)): t1})
+        expected = derham_mod.FormElement(c.chart, k + 1, {tuple(range(k + 1)): loc.one()})
+        dx = derham_mod.d(c.B, x)
+        if not (dx == expected):
+            return "fail", f"degree {k}: {dx.render()}"
+    return "pass", "d(t_1 (x) e_2..e_{k+1}) = 1 (x) e_1..e_{k+1} for all k < N"
+
+
+def _obstruction(c: SimpleNamespace) -> tuple[str, dict]:
+    verdict = derham_mod.gaussian_obstruction(c.n, c.max_degree)
+    control = derham_mod.gaussian_obstruction(c.n, max(1, c.max_degree), 0)
+    return (_status(not verdict.feasible and control.feasible),
+            {"gaussian": verdict.status, "maxDegree": c.max_degree,
              "control": control.status})
 
-    if want("derham.gauge_consistency"):
-        yield _derham_gauge_consistency(chart, B, random.Random(seed + 2),
-                                        max(10, samples // 5))
 
-
-def _derham_gauge_consistency(chart: Chart, B: Sequence[LocalizedElement],
-                              rng: random.Random, samples: int) -> dict:
+def _derham_gauge_consistency(c: SimpleNamespace) -> tuple[str, str]:
     """The wedge-combinatorics action must agree with the matrix gauge action."""
-    n = len(chart.parameters)
+    chart, n, rng = c.chart, c.n, random.Random(c.seed + 2)
     modules = {k: exterior_power(n, k) for k in range(n + 1)}
-    for i in range(samples):
+
+    def trial(i: int) -> str | None:
         k = rng.randrange(0, n + 1)
         module = modules[k]
-        field = GaugeField.scalar(chart, list(B), module.dim)
-        gm = GaugeModule(chart, module, field)
+        gm = GaugeModule(chart, module, GaugeField.scalar(chart, list(c.B), module.dim))
         x = _random_form(rng, chart, k)
         eta = sampling.chart_field(rng, chart)
-        subsets = list(itertools.combinations(range(n), k))
-        index = {s: c for c, s in enumerate(subsets)}
-        gx = gm.element({index[s]: c for s, c in x.terms.items()})
-        via_gauge = gm.act(eta, gx)
-        via_forms = derham_mod.act_form(B, eta, x)
-        expected = gm.element({index[s]: c for s, c in via_forms.terms.items()})
-        if not (via_gauge == expected):
-            return _record("derham.gauge_consistency", "fail",
-                           f"sample {i} at degree {k}")
-    return _record("derham.gauge_consistency", "pass", f"{samples} samples")
+        index = {s: j for j, s in enumerate(itertools.combinations(range(n), k))}
+        via_gauge = gm.act(eta, gm.element({index[s]: a for s, a in x.terms.items()}))
+        via_forms = derham_mod.act_form(c.B, eta, x)
+        expected = gm.element({index[s]: a for s, a in via_forms.terms.items()})
+        return None if via_gauge == expected else f"sample {i} at degree {k}"
+    return _sampled(max(10, c.samples // 5), trial)
+
+
+_DERHAM_CHECKS = {
+    "derham.complex": _derham_complex,
+    "derham.morphism": _derham_morphism,
+    "derham.not_a_morphism": _not_a_morphism,
+    "derham.kernel_witness": _kernel_witness,
+    "derham.image_witness": _image_witness,
+    "derham.obstruction": _obstruction,
+    "derham.gauge_consistency": _derham_gauge_consistency,
+}
 
 
 # -- circle checks -----------------------------------------------------------------
 
-def _run_circle(scn: dict) -> Iterator[dict]:
+def _setup_circle(scn: dict) -> SimpleNamespace:
     alphas = [Fraction(a) for a in scn.get("alphas", ["0", "1", "1/2", "5/3"])]
-    grid = scn.get("grid", 3)
-    seed = scn.get("seed", 0)
-    want = _selector(scn)
+    basis = [circle_mod.basis_v(a, k) for a in alphas for k in range(-2, 3)] + \
+            [circle_mod.basis_u(a, k) for a in alphas for k in range(-2, 3)]
+    return SimpleNamespace(alphas=alphas, grid=scn.get("grid", 3), seed=scn.get("seed", 0),
+                           basis=basis)
 
-    basis_grid = [circle_mod.basis_v(a, k) for a in alphas for k in range(-2, 3)] + \
-                 [circle_mod.basis_u(a, k) for a in alphas for k in range(-2, 3)]
 
-    if want("circle.witt"):
-        status, witness = "pass", f"n,m in [-{grid},{grid}] on {len(basis_grid)} vectors"
-        # each e_k x, computed when first needed, so in the order of the
-        # brackets, and forgotten when the check ends
-        acted = [functools.lru_cache(maxsize=None)(lambda k, x=x: circle_mod.act_e(k, x))
-                 for x in basis_grid]
-        # lazily: a huge grid leaves the index window at its first pair
-        for n, m in ((n, m) for n in range(-grid, grid + 1) for m in range(-grid, grid + 1)):
-            bad = next((x for x, e_x in zip(basis_grid, acted)
-                        if not circle_mod.witt_bracket_check(n, m, x, e_x)), None)
-            if bad is not None:
-                status = "fail"
-                witness = f"[e_{n}, e_{m}] fails on {bad} (alpha={bad.alpha})"
-                break
-        del acted
-        yield _record("circle.witt", status, witness)
+def _witt(c: SimpleNamespace) -> tuple[str, str]:
+    grid = c.grid
+    # each e_k x, computed when first needed, so in the order of the
+    # brackets, and forgotten when the check ends
+    acted = [functools.lru_cache(maxsize=None)(lambda k, x=x: circle_mod.act_e(k, x))
+             for x in c.basis]
+    # lazily: a huge grid leaves the index window at its first pair
+    for n, m in ((n, m) for n in range(-grid, grid + 1) for m in range(-grid, grid + 1)):
+        bad = next((x for x, e_x in zip(c.basis, acted)
+                    if not circle_mod.witt_bracket_check(n, m, x, e_x)), None)
+        if bad is not None:
+            return "fail", f"[e_{n}, e_{m}] fails on {bad} (alpha={bad.alpha})"
+    return "pass", f"n,m in [-{grid},{grid}] on {len(c.basis)} vectors"
 
-    if want("circle.casimir"):
-        rng = random.Random(seed)
-        status, witness = "pass", f"alphas {[str(a) for a in alphas]}"
-        for a in alphas:
-            extra = []
-            for _ in range(5):
-                combo = circle_mod.CircleElement(a, {})
-                for _ in range(3):
-                    sym = rng.choice(("v", "u"))
-                    k = rng.randint(-3, 3)
-                    base = (circle_mod.basis_v if sym == "v" else circle_mod.basis_u)(a, k)
-                    combo = combo + base.scale(sampling.rational(rng))
-                extra.append(combo)
-            result = circle_mod.casimir_scalar_check(a, range(-3, 4), extra)
-            if not result.ok:
-                status, witness = "fail", result.witness
-                break
-        yield _record("circle.casimir", status, witness)
 
-    if want("circle.annihilator_s"):
-        value = circle_mod.apply_word(circle_mod.annihilator_s(),
-                                      circle_mod.basis_v(Fraction(0), 0))
-        ok = value.is_zero()
-        yield _record("circle.annihilator_s", "pass" if ok else "fail",
-                      None if ok else f"s.v_0 = {value}")
+def _circle_casimir(c: SimpleNamespace) -> tuple[str, str]:
+    rng = random.Random(c.seed)
+    for a in c.alphas:
+        extra = []
+        for _ in range(5):
+            combo = circle_mod.CircleElement(a, {})
+            for _ in range(3):
+                sym = rng.choice(("v", "u"))
+                k = rng.randint(-3, 3)
+                base = (circle_mod.basis_v if sym == "v" else circle_mod.basis_u)(a, k)
+                combo = combo + base.scale(sampling.rational(rng))
+            extra.append(combo)
+        result = circle_mod.casimir_scalar_check(a, range(-3, 4), extra)
+        if not result.ok:
+            return "fail", result.witness
+    return "pass", f"alphas {[str(a) for a in c.alphas]}"
 
-    if want("circle.annihilator_q"):
-        status, witness = "pass", f"alphas {[str(a) for a in alphas]}"
-        for a in alphas:
-            value = circle_mod.apply_word(circle_mod.annihilator_q(a),
-                                          circle_mod.basis_v(a, 0))
-            if not value.is_zero():
-                status, witness = "fail", f"q.v_0 = {value} at alpha={a}"
-                break
-        yield _record("circle.annihilator_q", status, witness)
 
-    if want("circle.p_operator"):
-        values = {}
-        stable = True
-        for a in alphas:
-            value = circle_mod.p_value_on_v0(a)
-            expected = circle_mod.basis_v(a, 1).scale(2 * (a - 1))
-            values[str(a)] = str(value)
-            if not (value == expected):
-                stable = False
-        yield _record(
-            "circle.p_operator", "computed" if stable else "fail",
+def _annihilator_s(c: SimpleNamespace) -> tuple[str, str | None]:
+    value = circle_mod.apply_word(circle_mod.annihilator_s(),
+                                  circle_mod.basis_v(Fraction(0), 0))
+    return ("pass", None) if value.is_zero() else ("fail", f"s.v_0 = {value}")
+
+
+def _annihilator_q(c: SimpleNamespace) -> tuple[str, str]:
+    for a in c.alphas:
+        value = circle_mod.apply_word(circle_mod.annihilator_q(a), circle_mod.basis_v(a, 0))
+        if not value.is_zero():
+            return "fail", f"q.v_0 = {value} at alpha={a}"
+    return "pass", f"alphas {[str(a) for a in c.alphas]}"
+
+
+def _p_operator(c: SimpleNamespace) -> tuple[str, dict]:
+    values, stable = {}, True
+    for a in c.alphas:
+        value = circle_mod.p_value_on_v0(a)
+        values[str(a)] = str(value)
+        if not (value == circle_mod.basis_v(a, 1).scale(2 * (a - 1))):
+            stable = False
+    return ("computed" if stable else "fail",
             {"p.v_0": values, "expected_form": "2*(alpha-1)*v[1]"})
 
-    if want("circle.basis"):
-        report = circle_mod.basis_leading_terms(max(1, grid))
-        ok = report.independent and report.labels_match
-        yield _record("circle.basis", "pass" if ok else "fail",
-                      {"leading": list(report.leading),
-                       "lowest": list(report.lowest),
-                       "independent": report.independent})
 
-    if want("circle.crosscheck"):
-        status, witness = "pass", "n,k in [-2,2], both symbols"
-        for a in alphas:
-            cg = circle_mod.circle_gauge(a)
-            for n, k, sym in itertools.product(range(-2, 3), range(-2, 3), ("v", "u")):
-                if not circle_mod.gauge_crosscheck(n, k, sym, a, cg):
-                    status = "fail"
-                    witness = f"e_{n} on {sym}_{k} disagrees at alpha={a}"
-                    break
-            if status == "fail":
-                break
-        yield _record("circle.crosscheck", status, witness)
+def _circle_basis(c: SimpleNamespace) -> tuple[str, dict]:
+    report = circle_mod.basis_leading_terms(max(1, c.grid))
+    return (_status(report.independent and report.labels_match),
+            {"leading": list(report.leading), "lowest": list(report.lowest),
+             "independent": report.independent})
+
+
+def _crosscheck(c: SimpleNamespace) -> tuple[str, str]:
+    for a in c.alphas:
+        cg = circle_mod.circle_gauge(a)
+        for n, k, sym in itertools.product(range(-2, 3), range(-2, 3), ("v", "u")):
+            if not circle_mod.gauge_crosscheck(n, k, sym, a, cg):
+                return "fail", f"e_{n} on {sym}_{k} disagrees at alpha={a}"
+    return "pass", "n,k in [-2,2], both symbols"
+
+
+_CIRCLE_CHECKS = {
+    "circle.witt": _witt,
+    "circle.casimir": _circle_casimir,
+    "circle.annihilator_s": _annihilator_s,
+    "circle.annihilator_q": _annihilator_q,
+    "circle.p_operator": _p_operator,
+    "circle.basis": _circle_basis,
+    "circle.crosscheck": _crosscheck,
+}
 
 
 # -- Casimir table -----------------------------------------------------------------
@@ -650,23 +636,24 @@ def _fraction_str(c: Fraction | None) -> str:
     return "non-scalar" if c is None else str(c)
 
 
-def _run_casimir_table(scn: dict) -> Iterator[dict]:
-    n = scn["N"]
+def _glrep_table(n: int) -> tuple[str, dict]:
     rows = central_character_table(n)
     ok = all(row["omega"][0] == str(row["k"]) for row in rows) and all(
         all(p == "0" for p in row["P"].values()) for row in rows)
-    yield _record("glrep.table", "pass" if ok else "fail", {"N": n, "rows": rows})
+    return _status(ok), {"N": n, "rows": rows}
 
 
 # -- runner ------------------------------------------------------------------------
 
-_RUNNERS: dict[str, Callable[[dict], Iterator[dict]]] = {
-    "variety": _run_variety,
-    "gauge": _run_gauge,
-    "derham": _run_derham,
-    "circle": _run_circle,
-    "casimir_table": _run_casimir_table,
+_TABLES: dict[str, tuple[Callable[[dict], Any], dict[str, Callable[[Any], tuple]]]] = {
+    "variety": (lambda scn: build_variety(scn.get("variety", scn)), _VARIETY_CHECKS),
+    "gauge": (_setup_gauge, _GAUGE_CHECKS),
+    "derham": (_setup_derham, _DERHAM_CHECKS),
+    "circle": (_setup_circle, _CIRCLE_CHECKS),
+    "casimir_table": (lambda scn: scn["N"], {"glrep.table": _glrep_table}),
 }
+
+KINDS = tuple(_TABLES)
 
 
 def run_scenario(scn: dict, seed: int | None = None, samples: int | None = None,
@@ -684,22 +671,26 @@ def run_scenario(scn: dict, seed: int | None = None, samples: int | None = None,
         if isinstance(scn.get(key), int) and scn[key] < low:
             raise ScenarioError(f"scenario.{key}: expected at least {low}, got {scn[key]}")
 
+    setup, table = _TABLES[scn["kind"]]
+    wanted = scn.get("checks")
+    names = [name for name in table if wanted is None or name in wanted]
+    started = time.perf_counter()
+    context = setup(scn) if names else None
+    setup_ms = round((time.perf_counter() - started) * 1000, 3)
     records: list[dict] = []
-    if scn.get("checks") != []:
-        gen = _RUNNERS[scn["kind"]](scn)
-        while True:
-            started = time.perf_counter()
-            try:
-                rec = next(gen)
-            except StopIteration:
-                break
-            if timing:
-                rec["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
-            records.append(rec)
+    for name in names:
+        started = time.perf_counter()
+        status, witness = table[name](context)
+        rec = {"name": name, "status": status}
+        if witness is not None:
+            rec["witness"] = witness
+        if timing:
+            rec["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
+        records.append(rec)
 
     records.sort(key=lambda r: r["name"])
     status = "fail" if any(r["status"] == "fail" for r in records) else "pass"
-    return {
+    report = {
         "schema": SCHEMA_VERSION,
         "name": scn.get("name", scn["kind"]),
         "kind": scn["kind"],
@@ -707,6 +698,9 @@ def run_scenario(scn: dict, seed: int | None = None, samples: int | None = None,
         "checks": records,
         "status": status,
     }
+    if timing:
+        report["setup_ms"] = setup_ms
+    return report
 
 
 def bundled_scenario_names() -> list[str]:

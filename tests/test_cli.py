@@ -167,6 +167,20 @@ class TestExitCodes:
         assert record["witness"] == {"gaussian": "INFEASIBLE_UP_TO_D", "maxDegree": 0,
                                      "control": "FEASIBLE"}
 
+    @pytest.mark.parametrize("name, hint", [
+        ("gauge.lie_actoin", "did you mean 'gauge.lie_action'?"),
+        ("circle.witt", "expected one of ['variety.smooth', 'gauge.validate', "),
+    ], ids=["misspelled", "other-kind"])
+    def test_unknown_check_name_exits_2(self, capsys, tmp_path, name, hint):
+        scn = json.loads((SCENARIOS / "sphere_gauge_grad.json").read_text())
+        scn["checks"] = [name]
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(scn))
+        code = main(["run", str(path), "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"{path}.checks[0]: unknown gauge check {name!r}; {hint}" in captured.err
+
     def test_empty_check_list_passes_vacuously(self, capsys, tmp_path):
         scn = json.loads((SCENARIOS / "sphere_gauge_flat.json").read_text())
         scn["checks"] = []
@@ -241,7 +255,7 @@ class TestSubcommands:
     def test_flags_before_subcommand(self, capsys):
         code, out = run_cli(capsys, "--no-timing", "casimir", "table", "1")
         assert code == 0
-        assert "elapsed_ms" not in out
+        assert "elapsed_ms" not in out and "setup_ms" not in out
 
 
 class TestDeterminism:
@@ -255,8 +269,10 @@ class TestDeterminism:
     def test_timing_fields_present_by_default(self, capsys):
         code, out = run_cli(capsys, "casimir", "table", "2")
         assert code == 0
-        (table,) = json.loads(out)["checks"]
+        report = json.loads(out)
+        (table,) = report["checks"]
         assert "elapsed_ms" in table
+        assert isinstance(report["setup_ms"], float)
 
 
 class TestScenarioValidation:

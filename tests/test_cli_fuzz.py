@@ -138,7 +138,7 @@ def test_mutated_scenario_files_keep_the_exit_code_contract(scn):
         assert_contract(argv + [str(path)])
 
 
-# -- inputs the fuzzing found: each crashed or hung before it had its own check ----
+# -- inputs found by fuzzing: each crashed, hung or passed vacuously before its check
 
 def _with(name, edit):
     scn = json.loads(json.dumps(BUNDLED[name]))
@@ -163,6 +163,8 @@ FOUND = {
         _with("circle.json", lambda s: s.update(grid=HUGE)), 3),
     "a huge maxDegree built the whole obstruction system": (
         _with("derham_affine2.json", lambda s: s.update(maxDegree=HUGE)), 3),
+    "a misspelled check name ran no check and passed": (
+        _with("sphere_gauge_grad.json", lambda s: s.update(checks=["gauge.lie_actoin"])), 2),
 }
 
 
