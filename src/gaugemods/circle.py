@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from . import gauge as gauge_mod
-from .glrep import GlModule, UEAElement, identity, mat_scale
+from .glrep import GlModule, UEAElement
 from .groebner import LocalizedElement
 from .linalg import IntForm, add_term, int_form, rank
 from .variety import Chart, Variety, circle_variety
@@ -301,7 +301,7 @@ def circle_gauge(alpha: Fraction | int) -> CircleGauge:
     chart = next(c for c in v.charts if c.parameters == ("t",))
     loc = chart.localization
     ring = v.ring
-    module = GlModule(1, {(1, 1): mat_scale(identity(2), alpha)},
+    module = GlModule(1, {(1, 1): ({0: alpha}, {1: alpha})},
                       name=f"U_{alpha}", basis_labels=("v", "u"))
     s = loc.element(ring.var("s"))
     t = loc.element(ring.var("t"))

@@ -75,7 +75,7 @@ class GaugeField:
 
     @classmethod
     def scalar(cls, chart: Chart, values: Sequence[LocalizedElement], dim: int) -> "GaugeField":
-        """Scalar gauge fields: B_i = values[i] times the identity."""
+        """Scalar gauge fields: B_i = values[i] times the unit matrix."""
         z = chart.localization.zero()
         mats = []
         for v in values:
@@ -95,15 +95,15 @@ class GaugeField:
         # axiom 2: [B_i, rho(E_pq)] = 0 entrywise
         ok2, witness2 = True, ""
         for i, B in enumerate(self.matrices):
-            for (p, q), rho in module.rho.items():
+            for (p, q), cols in module.rho.items():
                 for r in range(self.dim):
                     for c in range(self.dim):
                         lhs = loc.zero()
                         for k in range(self.dim):
-                            if rho[k][c]:
-                                lhs = lhs + B[r][k] * rho[k][c]
-                            if rho[r][k]:
-                                lhs = lhs - rho[r][k] * B[k][c]
+                            if k in cols[c]:
+                                lhs = lhs + B[r][k] * cols[c][k]
+                            if r in cols[k]:
+                                lhs = lhs - cols[k][r] * B[k][c]
                         if not lhs.is_zero():
                             ok2, witness2 = False, (
                                 f"[B_{i + 1}, rho(E_{p}{q})] entry ({r + 1},{c + 1}) = {lhs}"
@@ -212,9 +212,9 @@ class GaugeModule:
         self.field = field
         self.oneform = oneform
         self.loc = chart.localization
-        # rho_columns[p][i][u]: the nonzero entries of column u of rho(E_pi), 0-based
+        # rho_columns[p][i]: the columns of rho(E_pi), 0-based
         n = module.N
-        self.rho_columns = tuple(tuple(_columns(module.rho[(p + 1, i + 1)]) for i in range(n))
+        self.rho_columns = tuple(tuple(module.rho[(p + 1, i + 1)] for i in range(n))
                                  for p in range(n))
 
     # -- element constructors ------------------------------------------------
@@ -258,7 +258,7 @@ class GaugeModule:
                     column = rho_columns[p][i][u]
                     if column and not df.is_zero():
                         gdf = g * df
-                        for r, c in column:
+                        for r, c in column.items():
                             add_term(out, r, gdf * c)
         result = GaugeElement(self.loc, out)
         if self.oneform is not None:

@@ -1,7 +1,8 @@
 """Finite-dimensional gl_N representations and central-element machinery.
 
-A module is a family of dim x dim rational matrices rho(E_ij) satisfying
-the elementary-matrix commutation relations, validated at construction.
+A module is a family of dim x dim rational matrices rho(E_ij), kept as
+sparse columns, satisfying the elementary-matrix commutation relations,
+validated at construction.
 On top of that sit the cyclic Casimir elements Omega_k, the fully
 symmetrized central sums, their central combinations P_k, central
 characters, and the test for the finitely many modules whose gauge
@@ -23,25 +24,23 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from .linalg import Combination, Row, add_term
 
-Matrix = tuple[tuple[Fraction, ...], ...]
-
-DEFAULT_TERM_BUDGET = 200_000
+TERM_BUDGET = 200_000
 
 
 class BudgetExceededError(RuntimeError):
     """Raised when a combinatorial expansion would exceed the term budget."""
 
 
-def check_term_budget(N: int, k: int, budget: int = DEFAULT_TERM_BUDGET) -> None:
+def check_term_budget(N: int, k: int) -> None:
     """Raise unless the N^k*k! terms of a sum over index tuples and S_k fit
     in the budget."""
-    if N >= 2 and k >= budget.bit_length():
+    if N >= 2 and k >= TERM_BUDGET.bit_length():
         # N^k >= 2^k > budget, without building N^k for a huge k
         raise BudgetExceededError(
-            f"N^k*k! for N={N}, k={k} needs more than {budget} expansion terms")
+            f"N^k*k! for N={N}, k={k} needs more than {TERM_BUDGET} expansion terms")
     count = (N ** k) * math.factorial(k)
-    if count > budget:
-        raise BudgetExceededError(f"N^k*k! = {count} exceeds the term budget {budget}")
+    if count > TERM_BUDGET:
+        raise BudgetExceededError(f"N^k*k! = {count} exceeds the term budget {TERM_BUDGET}")
 
 
 class GlModuleError(ValueError):
@@ -51,42 +50,34 @@ class GlModuleError(ValueError):
 class NonScalarActionError(ValueError):
     """Raised when a central element fails to act by a scalar."""
 
-    def __init__(self, k: int, matrix: Matrix):
+    def __init__(self, k: int, columns: Columns):
         super().__init__(f"Omega_{k} does not act as a scalar matrix")
         self.k = k
-        self.matrix = matrix
+        self.columns = columns
 
 
-# -- exact matrix helpers ----------------------------------------------------
+# -- sparse matrices -----------------------------------------------------------
+#
+# A matrix is kept as its columns: column c maps each row r to the nonzero
+# entry (r, c), an int where the entry is integral and a Fraction otherwise,
+# so that word products multiply ints.
 
-def identity(n: int) -> Matrix:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-def mat_scale(a: Matrix, c: Fraction | int) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-def scalar_of(a: Matrix) -> Fraction | None:
-    """The scalar c with a == c*I, or None if a is not scalar."""
-    c = a[0][0]
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if x != (c if i == j else 0):
-                return None
-    return c
-
-def as_matrix(rows: Sequence[Sequence[int | str | Fraction]]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+Columns = tuple[Row, ...]
 
 
-SparseRows = tuple[Row, ...]
+def scalar_of(columns: Columns) -> Fraction | None:
+    """The scalar c with columns == c*I, or None if there is none."""
+    c = columns[0].get(0, 0)
+    for j, col in enumerate(columns):
+        if col != ({j: c} if c else {}):
+            return None
+    return Fraction(c)
+
 
 def sparse_sum(n: int,
-               terms: Iterable[tuple[Fraction | int, SparseRows, SparseRows]]) -> SparseRows:
-    """The n x n sum of c * a * b over the (c, a, b) in terms, in sparse rows.
+               terms: Iterable[tuple[Fraction | int, Columns, Columns]]) -> Columns:
+    """The n x n sum of c * a * b over the (c, a, b) in terms, every matrix
+    given by its sparse rows, which are the columns of its transpose.
 
     Each product costs one step per pair of nonzeros that meet."""
     acc: list[Row] = [{} for _ in range(n)]
@@ -105,7 +96,8 @@ def sparse_sum(n: int,
 # -- modules -----------------------------------------------------------------
 
 class GlModule:
-    """A gl_N module given by matrices rho(E_ij), indices 1-based.
+    """A gl_N module given by the columns of the matrices rho(E_ij),
+    indices 1-based.
 
     The commutation relations
         [rho(E_ij), rho(E_kl)] = d_jk rho(E_il) - d_li rho(E_kj)
@@ -113,42 +105,38 @@ class GlModule:
     naming the failing index quadruple.
     """
 
-    def __init__(self, N: int, rho: Mapping[tuple[int, int], Matrix],
+    def __init__(self, N: int, rho: Mapping[tuple[int, int], Columns],
                  name: str = "", basis_labels: Sequence[str] | None = None):
         if N < 1:
             raise ValueError("N must be positive")
         self.N = N
-        # an entry that is a Fraction already is kept as it is
-        self.rho = {k: tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-                             for row in m)
-                    for k, m in rho.items()}
-        dims = {len(m) for m in self.rho.values()}
+        # an int stays an int, and an integral Fraction becomes one
+        self.rho = {key: tuple({r: x.numerator if x.denominator == 1 else x
+                                for r, x in col.items() if x} for col in cols)
+                    for key, cols in rho.items()}
+        dims = {len(cols) for cols in self.rho.values()}
         if len(dims) != 1:
             raise GlModuleError("matrices of unequal size")
         self.dim = dims.pop()
-        for m in self.rho.values():
-            if any(len(row) != self.dim for row in m):
-                raise GlModuleError("non-square matrix")
+        if self.dim == 0:
+            raise GlModuleError("a module needs dimension at least 1")
+        if any(not 0 <= r < self.dim for cols in self.rho.values() for col in cols
+               for r in col):
+            raise GlModuleError("non-square matrix")
         expected = {(i, j) for i in range(1, N + 1) for j in range(1, N + 1)}
         if set(self.rho) != expected:
             raise GlModuleError("need exactly the matrices rho(E_ij), 1 <= i,j <= N")
         self.name = name or f"gl{N}-module(dim {self.dim})"
         self.basis_labels = tuple(basis_labels) if basis_labels else tuple(
             f"b{i}" for i in range(self.dim))
-        # sparse columns, row -> entry, for applying rho(E_ij) to one vector;
-        # ints where the entries are integral, so word products multiply ints
-        self.sparse_rho = {key: tuple({r: x.numerator if x.denominator == 1 else x
-                                       for r, x in enumerate(col) if x} for col in zip(*m))
-                           for key, m in self.rho.items()}
-        self.sparse_one = tuple({i: 1} for i in range(self.dim))
         self._validate()
 
     def _validate(self) -> None:
         rng = range(1, self.N + 1)
-        rho, one = self.sparse_rho, self.sparse_one
+        rho, one = self.rho, tuple({i: 1} for i in range(self.dim))
         for i, j, k, l in itertools.product(rng, repeat=4):
-            # ab - ba - d_jk rho(E_il) + d_li rho(E_kj) must vanish; on sparse
-            # columns, which are the rows of the transposes, ab is b^T a^T
+            # ab - ba - d_jk rho(E_il) + d_li rho(E_kj) must vanish; the
+            # columns are the rows of the transposes, so ab is b^T a^T
             a, b = rho[(i, j)], rho[(k, l)]
             terms = [(1, b, a), (-1, a, b)]
             if j == k:
@@ -168,17 +156,16 @@ def exterior_power(N: int, k: int) -> GlModule:
     """The k-th exterior power of the natural N-dimensional module.
 
     Basis: increasing k-subsets of {1..N} in lexicographic order.  The
-    identity of gl_N acts by the scalar k; k = 0 is the trivial module.
+    sum of the E_ii acts by the scalar k; k = 0 is the trivial module.
     """
     if not 0 <= k <= N:
         raise ValueError(f"k must satisfy 0 <= k <= N, got k={k}, N={N}")
     basis = list(itertools.combinations(range(1, N + 1), k))
     index = {s: c for c, s in enumerate(basis)}
-    dim = len(basis)
-    rho: dict[tuple[int, int], Matrix] = {}
+    rho: dict[tuple[int, int], Columns] = {}
     for i in range(1, N + 1):
         for j in range(1, N + 1):
-            m = [[Fraction(0)] * dim for _ in range(dim)]
+            cols: list[Row] = [{} for _ in basis]
             for col, subset in enumerate(basis):
                 for pos, elem in enumerate(subset):
                     if elem != j:
@@ -189,9 +176,8 @@ def exterior_power(N: int, k: int) -> GlModule:
                         continue
                     merged = tuple(sorted(rest + (i,)))
                     smaller = sum(1 for x in rest if x < i)
-                    sign = -1 if (pos - smaller) % 2 else 1
-                    m[index[merged]][col] += sign
-            rho[(i, j)] = tuple(tuple(r) for r in m)
+                    cols[col][index[merged]] = -1 if (pos - smaller) % 2 else 1
+            rho[(i, j)] = tuple(cols)
     labels = ["1"] if k == 0 else ["e(" + ",".join(map(str, s)) + ")" for s in basis]
     return GlModule(N, rho, name=f"Lambda^{k} QQ^{N}", basis_labels=labels)
 
@@ -202,8 +188,15 @@ def trivial_module(N: int) -> GlModule:
 
 def custom_module(N: int, matrices: Mapping[tuple[int, int], Sequence[Sequence]],
                   name: str = "custom") -> GlModule:
-    """Build a module from user matrices; relations are fully validated."""
-    rho = {k: as_matrix(m) for k, m in matrices.items()}
+    """Build a module from user matrices, each a list of rows; relations
+    are fully validated.  An entry that is a Fraction already is kept."""
+    rho = {}
+    for key, m in matrices.items():
+        if any(len(row) != len(m) for row in m):
+            raise GlModuleError("non-square matrix")
+        rows = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in m]
+        rho[key] = tuple({r: row[c] for r, row in enumerate(rows) if row[c]}
+                         for c in range(len(rows)))
     return GlModule(N, rho, name=name)
 
 
@@ -211,17 +204,16 @@ def symmetric_square(N: int) -> GlModule:
     """Sym^2 of the natural module, acting by derivations on e_a e_b."""
     basis = list(itertools.combinations_with_replacement(range(1, N + 1), 2))
     index = {s: c for c, s in enumerate(basis)}
-    dim = len(basis)
-    rho: dict[tuple[int, int], Matrix] = {}
+    rho: dict[tuple[int, int], Columns] = {}
     for i in range(1, N + 1):
         for j in range(1, N + 1):
-            m = [[Fraction(0)] * dim for _ in range(dim)]
+            cols: list[Row] = [{} for _ in basis]
             for col, (a, b) in enumerate(basis):
                 for slot, other in ((a, b), (b, a)):
                     if slot == j:
                         target = tuple(sorted((i, other)))
-                        m[index[target]][col] += 1
-            rho[(i, j)] = tuple(tuple(r) for r in m)
+                        add_term(cols[col], index[target], 1)
+            rho[(i, j)] = tuple(cols)
     return GlModule(N, rho, name=f"Sym^2 QQ^{N}",
                     basis_labels=[f"e{a}e{b}" for a, b in basis])
 
@@ -288,17 +280,17 @@ def _suffix_trie(words: Mapping[Word, Fraction | int]) -> tuple[_Node, tuple[Has
     return root, tuple(symbols)
 
 
-def evaluate(el: UEAElement, m: GlModule) -> Matrix:
+def evaluate(el: UEAElement, m: GlModule) -> Columns:
     """Evaluate a word sum on a module, one basis vector v at a time:
     E(S) v = c_() * v + sum over symbols a of E(S_a)(rho(a) v),
     where S_a holds the words of S ending in a, with that a taken off.
     A path whose vector is zero is dropped with its whole subtree, but
-    every symbol is checked against the module first.  The columns may
-    hold ints; the matrix holds only ``Fraction``s."""
+    every symbol is checked against the module first.  Returns the
+    columns of the value, as ``GlModule.rho`` keeps them."""
     if el._trie is None:
         el._trie = _suffix_trie(el.terms)
     root, symbols = el._trie
-    rho = m.sparse_rho
+    rho = m.rho
     for a in symbols:
         if a not in rho:
             raise ValueError(f"symbol {a!r} out of range for N={m.N}")
@@ -307,12 +299,10 @@ def evaluate(el: UEAElement, m: GlModule) -> Matrix:
         out: Row = {}
         _apply(root, {j: 1}, rho, out)
         columns.append(out)
-    zero = Fraction(0)
-    return tuple(tuple(Fraction(col[i]) if i in col else zero for col in columns)
-                 for i in range(m.dim))
+    return tuple(columns)
 
 
-def _apply(node: _Node, v: Row, rho: Mapping[Hashable, SparseRows], out: Row) -> None:
+def _apply(node: _Node, v: Row, rho: Mapping[Hashable, Columns], out: Row) -> None:
     """out += E(S) v, for S the words of the trie below node; v is nonzero."""
     coeff, children = node
     if coeff:
@@ -345,13 +335,13 @@ def casimir(k: int, N: int) -> UEAElement:
 
 
 @functools.lru_cache
-def hat_omega(k: int, N: int, budget: int = DEFAULT_TERM_BUDGET) -> UEAElement:
+def hat_omega(k: int, N: int) -> UEAElement:
     """The fully symmetrized central sum over index tuples and permutations.
 
     Cached, like ``casimir``: every module of a table evaluates the same sums."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    check_term_budget(N, k, budget)
+    check_term_budget(N, k)
     words: dict[Word, int] = {}
     perms = list(itertools.permutations(range(k)))
     for idx in itertools.product(range(1, N + 1), repeat=k):
@@ -361,27 +351,29 @@ def hat_omega(k: int, N: int, budget: int = DEFAULT_TERM_BUDGET) -> UEAElement:
     return UEAElement(words)
 
 
-def p_poly_matrix(k: int, m: GlModule) -> Matrix:
-    """Evaluate the central combination P_k on a module.
+@functools.lru_cache
+def p_poly(k: int, N: int) -> UEAElement:
+    """The central combination P_k = (symmetrized sum) - ((N+k-1)!/N!) * Omega_1,
+    which vanishes exactly on the exterior powers of the natural module.
 
-    P_k = (symmetrized sum) - ((N+k-1)!/N!) * Omega_1, which vanishes
-    exactly on the exterior powers of the natural module.
-    """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    hat = evaluate(hat_omega(k, m.N), m)
-    coeff = Fraction(math.factorial(m.N + k - 1), math.factorial(m.N))
-    return mat_sub(hat, mat_scale(evaluate(casimir(1, m.N), m), coeff))
+    Cached, like ``casimir``."""
+    hat = hat_omega(k, N)
+    return hat - casimir(1, N).scale(math.factorial(N + k - 1) // math.factorial(N))
+
+
+def p_poly_matrix(k: int, m: GlModule) -> Columns:
+    """Evaluate the central combination P_k on a module."""
+    return evaluate(p_poly(k, m.N), m)
 
 
 def central_character(m: GlModule) -> list[Fraction]:
     """Scalars of Omega_1..Omega_N; raises if any acts non-scalarly."""
     out = []
     for k in range(1, m.N + 1):
-        mat = evaluate(casimir(k, m.N), m)
-        c = scalar_of(mat)
+        columns = evaluate(casimir(k, m.N), m)
+        c = scalar_of(columns)
         if c is None:
-            raise NonScalarActionError(k, mat)
+            raise NonScalarActionError(k, columns)
         out.append(c)
     return out
 
@@ -423,14 +415,14 @@ def exceptional_check(m: GlModule) -> ExceptionalReport:
     return ExceptionalReport(m.name, m.N, tuple(chi), in_range, p_scalars, verdict)
 
 
-def stabilizer_sum(N: int, k: int, budget: int = DEFAULT_TERM_BUDGET) -> int:
+def stabilizer_sum(N: int, k: int) -> int:
     """Brute-force sum of |Stab(i)| over index tuples under the S_k action.
 
     Asserted equal to (N+k-1)!/(N-1)! -- the closed form the orbit count
     gives; a mismatch raises, since it would falsify the combinatorics
     the central combinations rely on.
     """
-    check_term_budget(N, k, budget)
+    check_term_budget(N, k)
     total = 0
     perms = list(itertools.permutations(range(k)))
     for idx in itertools.product(range(1, N + 1), repeat=k):

@@ -153,10 +153,12 @@ def _validate_module(spec: dict, path: str) -> None:
         for i, matrix in enumerate(_require(spec, "matrices", list, path)):
             for r, row in enumerate(matrix if isinstance(matrix, list) else ()):
                 for c, x in enumerate(row if isinstance(row, list) else ()):
-                    if not (_is_int(x) or isinstance(x, str)):
-                        raise ScenarioError(
-                            f"{path}.matrices[{i}][{r}][{c}]: expected an integer or a "
-                            f"rational string, got {type(x).__name__}")
+                    where = f"{path}.matrices[{i}][{r}][{c}]"
+                    if isinstance(x, str):
+                        _fraction(x, where)
+                    elif not _is_int(x):
+                        raise ScenarioError(f"{where}: expected an integer or a "
+                                            f"rational string, got {type(x).__name__}")
 
 
 def _fraction(text: str, path: str) -> Fraction:
@@ -406,6 +408,9 @@ _GAUGE_CHECKS = {
 
 def _setup_derham(scn: dict) -> SimpleNamespace:
     chart = select_chart(build_variety(scn["variety"], "scenario.variety"), scn["chart"])
+    if not chart.parameters:
+        raise ScenarioError(f"scenario.chart: the chart {chart.name!r} has no parameters, "
+                            f"so it carries no de Rham complex to check")
     B = build_scalar_gauge(scn, chart)
     seed = scn.get("seed", 0)
     # complex and then morphism draw from one stream

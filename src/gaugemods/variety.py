@@ -48,11 +48,6 @@ class Variety:
         self.name = name
         self.order = order or grevlex(ring)
         self.generators = tuple(generators)
-        for g in self.generators:
-            if g.ring != ring:
-                raise ValueError("generator from a different ring")
-            if g.is_zero():
-                raise ValueError("zero generator")
         if self.generators:
             self.ideal: Ideal | None = Ideal(ring, self.generators)
             self.gb = buchberger(self.ideal, self.order)

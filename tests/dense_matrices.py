@@ -1,9 +1,27 @@
 """Dense exact matrix helpers used only by the tests, for reference
-computations and commutator checks on ``glrep`` matrices."""
+computations and commutator checks on ``glrep`` matrices, which the
+package keeps as sparse columns; ``dense`` gives their dense view."""
 
 from fractions import Fraction
 
-from gaugemods.glrep import Matrix, mat_sub
+Matrix = tuple[tuple[Fraction, ...], ...]
+
+
+def dense(columns) -> Matrix:
+    """The matrix whose column c maps each row r to its entry; every
+    entry a Fraction."""
+    zero = Fraction(0)
+    return tuple(tuple(Fraction(col[r]) if r in col else zero for col in columns)
+                 for r in range(len(columns)))
+
+
+def as_matrix(rows) -> Matrix:
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def identity(n: int) -> Matrix:
+    one, zero = Fraction(1), Fraction(0)
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def zero_matrix(n: int) -> Matrix:
@@ -13,6 +31,14 @@ def zero_matrix(n: int) -> Matrix:
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(a: Matrix, c) -> Matrix:
+    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

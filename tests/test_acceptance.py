@@ -45,7 +45,7 @@ from gaugemods.groebner import Ideal, buchberger, is_member, is_unit_ideal
 from gaugemods.polyring import PolyRing
 from gaugemods.variety import bracket, sphere_variety, to_chart
 
-from dense_matrices import is_zero_matrix, mat_commutator
+from dense_matrices import dense, is_zero_matrix, mat_commutator
 
 # the recorded report of ``run --bundled --no-timing``; read here, never written
 BUNDLED_REPORT = Path(__file__).parents[1] / "perfbench" / "references" / "bundled_report.json"
@@ -106,9 +106,9 @@ def test_criterion_3_symmetrized_sums_are_central():
             for k in ks:
                 hat = hat_omega(k, n)
                 for m in modules:
-                    mat = evaluate(hat, m)
+                    mat = dense(evaluate(hat, m))
                     for rho in m.rho.values():
-                        assert is_zero_matrix(mat_commutator(mat, rho))
+                        assert is_zero_matrix(mat_commutator(mat, dense(rho)))
 
 
 def test_criterion_4_stabilizer_sums():

@@ -39,6 +39,11 @@ def test_tracer_installs_and_casimir_scenario_runs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_tracer_sees_p_poly_matrix_on_the_casimir_scenario():
+    proc = _run_traced("casimir_n2.json", "glrep.p_poly_matrix.calls", 1)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_tracer_sees_the_checks_that_a_check_table_calls():
     # two av_compat and two lie_action samples, ten twist_roundtrip samples
     proc = _run_traced("affine1_gauge.json", "gauge.check.calls", 14)

@@ -165,6 +165,15 @@ FOUND = {
         _with("derham_affine2.json", lambda s: s.update(maxDegree=HUGE)), 3),
     "a misspelled check name ran no check and passed": (
         _with("sphere_gauge_grad.json", lambda s: s.update(checks=["gauge.lie_actoin"])), 2),
+    "a de Rham chart with no parameters raised in the checks": (
+        _with("derham_affine2.json", lambda s: s.update(
+            variety={"variables": ["x"], "generators": ["x"]}, chart=0)), 2),
+    "a custom module entry 1/0 raised ZeroDivisionError": (
+        _with("affine1_gauge.json", lambda s: s.update(
+            module={"N": 1, "kind": "custom", "matrices": [[["1/0"]]]})), 2),
+    "a 0-dimensional custom module crashed the sampled checks": (
+        _with("affine1_gauge.json", lambda s: s.update(
+            module={"N": 1, "kind": "custom", "matrices": [[]]})), 2),
 }
 
 
@@ -174,6 +183,14 @@ def test_inputs_found_by_fuzzing(tmp_path):
         path.write_text(json.dumps(scn))
         code, err = run(["run", "--no-timing", "--samples", "1", str(path)])
         assert (code, "Traceback" in err) == (want, False), why
+
+
+def test_a_zero_generator_exits_2_and_names_it(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(
+        _with("sphere_variety.json", lambda s: s["variety"].update(generators=["x-x"]))))
+    code, err = run(["run", "--no-timing", str(path)])
+    assert code == 2 and "zero generator" in err and "Traceback" not in err
 
 
 def test_a_huge_casimir_rank_exits_3_without_counting_terms():

@@ -22,6 +22,8 @@ from gaugemods.gauge import GaugeField, GaugeModule
 from gaugemods.glrep import exterior_power
 from gaugemods.polyring import Polynomial, PolyRing, render
 
+from dense_matrices import dense
+
 
 def _zero_b(chart):
     return [chart.localization.zero() for _ in chart.parameters]
@@ -66,7 +68,7 @@ class TestWedgeAlgebra:
                 module = exterior_power(n, k)
                 subsets = list(itertools.combinations(range(n), k))
                 for p, i in itertools.product(range(n), repeat=2):
-                    mat = module.rho[(p + 1, i + 1)]
+                    mat = dense(module.rho[(p + 1, i + 1)])
                     for col, subset in enumerate(subsets):
                         column = {r: mat[r][col] for r in range(module.dim)
                                   if mat[r][col]}

@@ -59,6 +59,8 @@ class TestValidate:
         m = custom_module(1, {(1, 1): [[1, 0], [0, 2]]})
         results = {r.name: r for r in field.validate(m)}
         assert not results["axiom2_glN_commutation"].ok
+        # B_1 rho - rho B_1 at (1,2) is 1*2 - 1*1, the first nonzero entry
+        assert results["axiom2_glN_commutation"].witness == "[B_1, rho(E_11)] entry (1,2) = 1"
 
     def test_matrix_flatness_with_commutator(self, affine2):
         # B_1 = [[0, x],[0, 0]], B_2 = [[0, y],[0, 0]]: d_1 B_2 - d_2 B_1 = 0

@@ -15,7 +15,6 @@ from gaugemods.glrep import (
     GlModuleError,
     NonScalarActionError,
     UEAElement,
-    as_matrix,
     casimir,
     central_character,
     custom_module,
@@ -23,9 +22,6 @@ from gaugemods.glrep import (
     exceptional_check,
     exterior_power,
     hat_omega,
-    identity,
-    mat_scale,
-    mat_sub,
     p_poly_matrix,
     scalar_of,
     stabilizer_sum,
@@ -34,7 +30,18 @@ from gaugemods.glrep import (
 )
 from gaugemods.scenario import central_character_table
 
-from dense_matrices import is_zero_matrix, mat_add, mat_commutator, mat_mul, zero_matrix
+from dense_matrices import (
+    as_matrix,
+    dense,
+    identity,
+    is_zero_matrix,
+    mat_add,
+    mat_commutator,
+    mat_mul,
+    mat_scale,
+    mat_sub,
+    zero_matrix,
+)
 
 # Casimir tables recorded for the benchmark; read here, never written
 EXPECTED = Path(__file__).parents[1] / "perfbench" / "references" / "expected.json"
@@ -48,7 +55,7 @@ def reference_evaluate(el, m):
         for (i, j) in word:
             if not (1 <= i <= m.N and 1 <= j <= m.N):
                 raise ValueError(f"symbol E_{i}{j} out of range for N={m.N}")
-            acc = mat_mul(acc, m.rho[(i, j)])
+            acc = mat_mul(acc, dense(m.rho[(i, j)]))
         total = mat_add(total, mat_scale(acc, coeff))
     return total
 
@@ -76,7 +83,8 @@ def twisted_natural(alpha):
     p_inv = as_matrix([[1, -half, -half * third], [0, 1, third], [0, 0, 1]])
     assert mat_mul(p, p_inv) == identity(3)
     rho = {}
-    for (i, j), mat in exterior_power(3, 1).rho.items():
+    for (i, j), columns in exterior_power(3, 1).rho.items():
+        mat = dense(columns)
         shifted = mat_add(mat, mat_scale(identity(3), alpha)) if i == j else mat
         rho[(i, j)] = mat_mul(mat_mul(p, shifted), p_inv)
     return custom_module(3, rho, name="twisted natural")
@@ -110,20 +118,20 @@ class TestExteriorPower:
     def test_natural_module_action(self):
         nat = exterior_power(2, 1)
         # E_ij e_k = delta_jk e_i
-        assert nat.rho[(1, 2)] == ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
-        assert nat.rho[(1, 1)] == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0)))
+        assert dense(nat.rho[(1, 2)]) == ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
+        assert dense(nat.rho[(1, 1)]) == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0)))
 
     def test_trivial_module(self):
         triv = exterior_power(2, 0)
         assert triv.dim == 1
-        assert all(m == ((Fraction(0),),) for m in triv.rho.values())
+        assert all(dense(m) == ((Fraction(0),),) for m in triv.rho.values())
 
     def test_determinant_module(self):
         det = exterior_power(3, 3)
         assert det.dim == 1
         for i, j in itertools.product(range(1, 4), repeat=2):
             expected = Fraction(1 if i == j else 0)
-            assert det.rho[(i, j)] == ((expected,),)
+            assert dense(det.rho[(i, j)]) == ((expected,),)
 
     def test_dimensions(self):
         for n in range(1, 5):
@@ -138,8 +146,8 @@ class TestExteriorPower:
                 total = zero_matrix(m.dim)
                 for i in range(1, n + 1):
                     total = tuple(tuple(a + b for a, b in zip(ra, rb))
-                                  for ra, rb in zip(total, m.rho[(i, i)]))
-                assert scalar_of(total) == k
+                                  for ra, rb in zip(total, dense(m.rho[(i, i)])))
+                assert total == mat_scale(identity(m.dim), k)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -168,10 +176,14 @@ class TestCustomModule:
 
     def test_fraction_entries_are_kept_and_ints_converted(self):
         half, zero = Fraction(1, 2), Fraction(0)
-        m = GlModule(1, {(1, 1): ((half, zero), (0, 2))})
-        (row0, row1), = m.rho.values()
-        assert row0[0] is half and row0[1] is zero
-        assert [type(x) for x in row1] == [Fraction, Fraction] and row1 == (0, 2)
+        m = custom_module(1, {(1, 1): ((half, zero), (0, 2))})
+        assert dense(m.rho[(1, 1)]) == ((half, zero), (zero, Fraction(2)))
+        (col0, col1), = m.rho.values()
+        assert col0 == {0: half} and col0[0] is half
+        assert col1 == {1: 2} and type(col1[1]) is int
+        m = GlModule(1, {(1, 1): ({0: Fraction(3)}, {1: 3, 0: 0})})
+        assert m.rho[(1, 1)] == ({0: 3}, {1: 3})
+        assert {type(x) for col in m.rho[(1, 1)] for x in col.values()} == {int}
 
     def test_missing_matrices_rejected(self):
         with pytest.raises(GlModuleError):
@@ -179,7 +191,7 @@ class TestCustomModule:
 
     def test_twisted_natural_module_valid(self):
         m = WORD_MODULES[-1]
-        assert any(x.denominator > 1 for mat in m.rho.values() for row in mat for x in row)
+        assert any(x.denominator > 1 for mat in m.rho.values() for row in dense(mat) for x in row)
         assert scalar_of(evaluate(casimir(1, 3), m)) == 1 + 3 * Fraction(2, 3)
 
     @pytest.mark.parametrize("key", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -188,10 +200,9 @@ class TestCustomModule:
         # error names the first one in (i, j, k, l) order
         base = symmetric_square(2)
         for r, c in itertools.product(range(base.dim), repeat=2):
-            rho = {k: [list(row) for row in mat] for k, mat in base.rho.items()}
+            rho = {k: [list(row) for row in dense(mat)] for k, mat in base.rho.items()}
             rho[key][r][c] += Fraction(1, 2)
-            dense = {k: tuple(tuple(row) for row in mat) for k, mat in rho.items()}
-            failing = reference_failure(2, dense)
+            failing = reference_failure(2, {k: as_matrix(mat) for k, mat in rho.items()})
             assert failing is not None
             with pytest.raises(GlModuleError) as err:
                 custom_module(2, rho)
@@ -202,7 +213,7 @@ class TestEvaluate:
     def test_single_generator(self):
         nat = exterior_power(2, 1)
         got = evaluate(UEAElement.generator((1, 1)), nat)
-        assert got == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0)))
+        assert dense(got) == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0)))
 
     def test_omega1_on_exterior_powers(self):
         for n in range(1, 5):
@@ -211,11 +222,11 @@ class TestEvaluate:
                 assert scalar_of(evaluate(casimir(1, n), m)) == k
 
     def test_omega2_on_natural(self):
-        assert evaluate(casimir(2, 2), exterior_power(2, 1)) == mat_scale(identity(2), 2)
+        assert dense(evaluate(casimir(2, 2), exterior_power(2, 1))) == mat_scale(identity(2), 2)
 
     def test_empty_word_is_identity(self):
         nat = exterior_power(2, 1)
-        assert evaluate(UEAElement.scalar(3), nat) == mat_scale(identity(2), 3)
+        assert dense(evaluate(UEAElement.scalar(3), nat)) == mat_scale(identity(2), 3)
 
     def test_out_of_range_symbol(self):
         with pytest.raises(ValueError):
@@ -237,7 +248,7 @@ class TestEvaluate:
 
     def test_empty_element_is_zero_matrix(self):
         for m in (exterior_power(3, 2), symmetric_square(2)):
-            assert evaluate(UEAElement({}), m) == zero_matrix(m.dim)
+            assert dense(evaluate(UEAElement({}), m)) == zero_matrix(m.dim)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(WORD_MODULES).flatmap(
@@ -251,8 +262,8 @@ class TestEvaluate:
     def test_equals_word_by_word_reference(self, case):
         m, el = case
         got = evaluate(el, m)
-        assert got == reference_evaluate(el, m)
-        assert all(type(x) is Fraction for row in got for x in row)
+        assert dense(got) == reference_evaluate(el, m)
+        assert len(got) == m.dim and all(x for col in got for x in col.values())
 
 
 class TestCasimir:
@@ -271,9 +282,9 @@ class TestCasimir:
         modules = [exterior_power(2, k) for k in range(3)] + [symmetric_square(2)]
         for m in modules:
             for k in (1, 2, 3):
-                mat = evaluate(casimir(k, 2), m)
+                mat = dense(evaluate(casimir(k, 2), m))
                 for (i, j), rho in m.rho.items():
-                    assert is_zero_matrix(mat_commutator(mat, rho))
+                    assert is_zero_matrix(mat_commutator(mat, dense(rho)))
 
 
 class TestHatOmega:
@@ -284,7 +295,7 @@ class TestHatOmega:
             assert hat_omega(2, n) == o1 * o1 + o2
 
     def test_trivial_module_evaluation(self):
-        assert is_zero_matrix(evaluate(hat_omega(2, 2), trivial_module(2)))
+        assert is_zero_matrix(dense(evaluate(hat_omega(2, 2), trivial_module(2))))
 
     def test_centrality_on_modules(self):
         cases = {2: [2, 3, 4], 3: [2, 3]}
@@ -294,13 +305,14 @@ class TestHatOmega:
             for k in ks:
                 hat = hat_omega(k, n)
                 for m in modules:
-                    mat = evaluate(hat, m)
+                    mat = dense(evaluate(hat, m))
                     for rho in m.rho.values():
-                        assert is_zero_matrix(mat_commutator(mat, rho))
+                        assert is_zero_matrix(mat_commutator(mat, dense(rho)))
 
     def test_budget_guard(self):
-        with pytest.raises(BudgetExceededError):
-            hat_omega(4, 2, budget=100)
+        # 5^5 * 5! = 375,000 terms, refused before any expansion
+        with pytest.raises(BudgetExceededError, match="375000 exceeds the term budget 200000"):
+            hat_omega(5, 5)
 
 
 class TestPPoly:
@@ -311,11 +323,23 @@ class TestPPoly:
             explicit = o2 + o1 * o1 - o1.scale(n + 1)
             for k in range(n + 1):
                 m = exterior_power(n, k)
-                assert p_poly_matrix(2, m) == evaluate(explicit, m)
+                assert dense(p_poly_matrix(2, m)) == dense(evaluate(explicit, m))
+
+    def test_pk_is_the_symmetrized_sum_minus_scaled_omega1(self):
+        # P_k = hat_omega(k) - ((N+k-1)!/N!) Omega_1, each part evaluated densely
+        from math import factorial
+        for n in (2, 3):
+            modules = [exterior_power(n, j) for j in range(n + 1)] + [symmetric_square(n)]
+            for k in range(2, n + 1):
+                c = factorial(n + k - 1) // factorial(n)
+                for m in modules:
+                    hat = reference_evaluate(hat_omega(k, n), m)
+                    omega1 = reference_evaluate(casimir(1, n), m)
+                    assert dense(p_poly_matrix(k, m)) == mat_sub(hat, mat_scale(omega1, c))
 
     def test_p2_vanishes_on_exterior_powers(self):
         for k in range(3):
-            assert is_zero_matrix(p_poly_matrix(2, exterior_power(2, k)))
+            assert is_zero_matrix(dense(p_poly_matrix(2, exterior_power(2, k))))
 
     def test_p2_on_symmetric_square(self):
         # oracle by hand: Omega_1 = 2, Omega_2 = 6, so P_2 = 6 + 4 - 6 = 4
@@ -333,7 +357,8 @@ class TestCentralCharacter:
         # natural (+) trivial: Omega_1 = diag(1, 1, 0) is not scalar
         nat = exterior_power(2, 1)
         rho = {}
-        for key, m in nat.rho.items():
+        for key, columns in nat.rho.items():
+            m = dense(columns)
             rho[key] = [[m[0][0], m[0][1], 0], [m[1][0], m[1][1], 0], [0, 0, 0]]
         block = custom_module(2, rho, name="natural+trivial")
         with pytest.raises(NonScalarActionError) as err:
@@ -391,8 +416,9 @@ class TestStabilizerSum:
                 assert stabilizer_sum(n, k) == factorial(n + k - 1) // factorial(n - 1)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            stabilizer_sum(3, 4, budget=10)
+        # 5^5 * 5! = 375,000 terms, refused before any counting
+        with pytest.raises(BudgetExceededError, match="375000 exceeds the term budget 200000"):
+            stabilizer_sum(5, 5)
 
     def test_a_huge_rank_is_refused_without_counting_terms(self):
         # 2^k for k = 10^9 would take 125 MB; the bit-length guard refuses first
