@@ -5,6 +5,12 @@ The reduced Groebner basis (minimal, monic, tail-reduced, sorted by
 decreasing leading term) is canonical for a fixed ideal and order, so
 quotient-ring equality is decided by comparing normal forms.
 
+A product in A is not divided afresh: normal form is linear, so NF(a*b)
+is summed over the term pairs from the normal forms of single monomials,
+and each basis keeps a table of those it has met, each computed once by
+the same division.  Against the empty basis of affine space a product is
+the plain polynomial product.
+
 Localized elements are kept lazy: a pair (numerator in A, power of h)
 is never cancelled, and equality is decided by cross-multiplication in
 A.  This is sound whenever h is not a zero divisor, which holds for the
@@ -18,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from math import gcd
 from operator import add, le, sub
 from typing import Callable, Mapping, Sequence
 
@@ -28,6 +35,7 @@ from .polyring import (
     Polynomial,
     PolyRing,
     _check_degree,
+    _check_total_degree,
     grevlex,
     leading_term,
     render,
@@ -68,6 +76,9 @@ Key = Callable[[Exponents], tuple]
 # terms with their coefficients scaled by -1/(leading coefficient), each an int
 # where that is exact and a Fraction otherwise.
 Reducer = tuple[Exponents, tuple[tuple[Exponents, int | Fraction], ...]]
+# The normal form of a monomial: None for a standard monomial, else its terms
+# as int numerators over one denominator.
+MonomialForm = tuple[tuple[tuple[Exponents, int], ...], int] | None
 
 
 def _monic(p: Polynomial, dkey: Key) -> Polynomial:
@@ -143,7 +154,8 @@ class GroebnerBasis:
 
     Use :func:`buchberger` to compute one.  An empty basis (for the zero
     ideal, as used by affine-space varieties) is permitted and makes
-    :meth:`reduce` the identity.
+    :meth:`reduce` the identity.  The normal forms of the monomials that
+    :meth:`reduce_product` meets are kept, one table per basis.
     """
 
     def __init__(self, ring: PolyRing, order: MonomialOrder,
@@ -155,11 +167,61 @@ class GroebnerBasis:
         self.generators = tuple(generators)
         self._dkey = order.descending_key(ring)
         self._reducers = tuple(_reducer(g, self._dkey) for g in self.basis)
+        self._monomial_forms: dict[Exponents, MonomialForm] = {}
 
     def reduce(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
             raise ValueError("polynomial from a different ring")
         return _reduce(p, self._reducers, self._dkey)
+
+    def reduce_product(self, a: Polynomial, b: Polynomial) -> Polynomial:
+        """``reduce(a * b)``, built without a * b.  Normal form is linear, so
+        each term pair adds c_a c_b NF(x^(e_a + e_b)); the normal form of
+        each monomial is computed once, by division, and kept.  The sums are
+        int numerators over the lcm of the denominators of the forms met.
+
+        Under lex, the normal form of one monomial can pass the degree cap
+        where that of the whole product does not, so lex divides a * b.
+        """
+        ring = self.ring
+        if a.ring is not ring and a.ring != ring:
+            raise ValueError("polynomial from a different ring")
+        if not self._reducers:
+            return a * b
+        if self.order.kind != "grevlex":
+            return self.reduce(a * b)
+        a._check_ring(b)
+        forms = self._monomial_forms
+        out: dict[Exponents, int] = {}
+        den = 1
+        for ea, ca in a.num.items():
+            for eb, cb in b.num.items():
+                e = tuple(map(add, ea, eb))
+                if e in forms:
+                    form = forms[e]
+                else:
+                    if sum(e) > ring.degree_cap:
+                        # where a * b raises: Q[x] is a domain, so deg ab = deg a + deg b
+                        _check_total_degree(ring, max(map(sum, a.num)) + max(map(sum, b.num)))
+                    form = forms[e] = self._monomial_form(e)
+                c = ca * cb * den
+                if form is None:
+                    out[e] = out.get(e, 0) + c
+                    continue
+                terms, d = form
+                if d != 1:
+                    if den % d:
+                        k = d // gcd(den, d)
+                        den, c = den * k, c * k
+                        out = {f: v * k for f, v in out.items()}
+                    c //= d
+                for f, v in terms:
+                    out[f] = out.get(f, 0) + c * v
+        return Polynomial._own(ring, {f: v for f, v in out.items() if v}, a.den * b.den * den)
+
+    def _monomial_form(self, e: Exponents) -> MonomialForm:
+        nf = _reduce(Polynomial._own(self.ring, {e: 1}), self._reducers, self._dkey)
+        return None if e in nf.num else (tuple(nf.num.items()), nf.den)
 
     def contains(self, p: Polynomial) -> bool:
         return self.reduce(p).is_zero()
@@ -317,7 +379,7 @@ class QuotientElement:
         if type(other) is not QuotientElement and isinstance(other, (int, Fraction)):
             return QuotientElement(self.qring, self.rep * other)
         other = self._coerce(other)
-        return self.qring.element(self.rep * other.rep)
+        return QuotientElement(self.qring, self.qring.gb.reduce_product(self.rep, other.rep))
 
     __rmul__ = __mul__
 
@@ -358,11 +420,16 @@ class Localization:
         self._hpow: dict[int, QuotientElement] = {0: qring.one(), 1: h}
 
     def hpow(self, k: int) -> QuotientElement:
-        cached = self._hpow.get(k)
-        if cached is None:
-            cached = self.hpow(k - 1) * self.h
-            self._hpow[k] = cached
-        return cached
+        """h^k.  Every power built is kept, and a new one is built from the
+        largest kept power one factor h at a time, so an overflow names the
+        first power past the degree cap.  A power of h = 1 is h itself."""
+        powers = self._hpow
+        if k not in powers:
+            if self.h == powers[0]:
+                return self.h
+            for j in range(len(powers), k + 1):
+                powers[j] = powers[j - 1] * self.h
+        return powers[k]
 
     def element(self, numerator, hpower: int = 0) -> "LocalizedElement":
         if hpower < 0:

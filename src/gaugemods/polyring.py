@@ -241,11 +241,12 @@ class Polynomial(IntForm):
 
 def _check_degree(ring: PolyRing, terms: Mapping[Exponents, int]) -> None:
     if terms:
-        deg = max(map(sum, terms))
-        if deg > ring.degree_cap:
-            raise DegreeOverflowError(
-                f"total degree {deg} exceeds the ring cap {ring.degree_cap}"
-            )
+        _check_total_degree(ring, max(map(sum, terms)))
+
+
+def _check_total_degree(ring: PolyRing, deg: int) -> None:
+    if deg > ring.degree_cap:
+        raise DegreeOverflowError(f"total degree {deg} exceeds the ring cap {ring.degree_cap}")
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,12 @@ FOUND = {
     "a 0-dimensional custom module crashed the sampled checks": (
         _with("affine1_gauge.json", lambda s: s.update(
             module={"N": 1, "kind": "custom", "matrices": [[]]})), 2),
+    "an entry over h^3000 recursed once per power of h": (
+        _with("sphere_gauge_flat.json", lambda s: s.update(
+            B=[{"num": "1", "hpower": 3000}, "0"])), 3),
+    "an entry over h^(10^9) with h = 1 recursed once per power of h": (
+        _with("affine2_gauge.json", lambda s: s.update(
+            B=[{"num": "1", "hpower": HUGE}, "0"])), 0),
 }
 
 

@@ -171,8 +171,8 @@ def test_results_share_no_numerator_dict(ta, tb, c):
     """Changing the dict given to the constructor, an operand's numerators or
     its ``terms`` view leaves every earlier result unchanged; a write to the
     view changes neither the value nor the rendering of the operand.  Normal
-    forms of a and of 0 count as results, against the sphere basis and
-    against the empty basis of affine space."""
+    forms of a, of 0 and of products count as results, against the sphere
+    basis and against the empty basis of affine space."""
     given_terms = dict(ta)
     made = Polynomial(RING, given_terms)
     a, b = Polynomial(RING, ta), Polynomial(RING, tb)
@@ -181,7 +181,9 @@ def test_results_share_no_numerator_dict(ta, tb, c):
     results = [made, a + b, a - b, b - a, a * b, a * c, c * a, a + c, c - a, -a,
                a.partial("x"), a**1, a**2, RING.zero() + a,
                GB_SPHERE.reduce(a), nothing.reduce(a), GB_SPHERE.reduce(zero),
-               nothing.reduce(zero)]
+               nothing.reduce(zero), GB_SPHERE.reduce_product(a, b),
+               nothing.reduce_product(a, b), GB_SPHERE.reduce_product(zero, a),
+               nothing.reduce_product(a, zero)]
     expected = [(dict(r.num), r.den, dict(r.terms), str(r)) for r in results]
     text, value = str(a), hash(a)
     a.terms[(8, 0, 0)] = Fraction(1)

@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugemods import affine_space, circle_variety, groebner, sphere_variety
-from gaugemods.groebner import (GroebnerBasis, Ideal, LocalizedElement, QuotientRing, buchberger,
-                                 loc_partial)
+from gaugemods.groebner import (GroebnerBasis, Ideal, LocalizedElement, QuotientElement,
+                                 QuotientRing, buchberger, loc_partial)
 from gaugemods.parser import parse_poly
-from gaugemods.polyring import PolyRing
+from gaugemods.polyring import DegreeOverflowError, PolyRing, lex
 from gaugemods.scenario import load_bundled, run_scenario
 from gaugemods.variety import Variety
 
@@ -162,9 +162,10 @@ def test_localization_rejects_a_numerator_of_another_quotient_ring():
     assert form(loc.element(same.element(x), 1)) == form(loc.element(x, 1))
 
 
-def _basis(names, gens):
+def _basis(names, gens, order=None):
     ring = PolyRing(names)
-    return buchberger(Ideal(ring, tuple(parse_poly(g, ring) for g in gens)))
+    return buchberger(Ideal(ring, tuple(parse_poly(g, ring) for g in gens)),
+                      order and order(ring))
 
 
 MULTI_BASES = {
@@ -172,7 +173,14 @@ MULTI_BASES = {
     "cyclic-4": _basis(("a", "b", "c", "d"),
                        ["a + b + c + d", "a*b + b*c + c*d + d*a",
                         "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1"]),
+    # the normal forms of its monomials have denominators 7, 14, 98, 108, 162, ...
+    "katsura-3": _basis(("a", "b", "c", "d"),
+                        ["a + 2*b + 2*c + 2*d - 1", "a^2 + 2*b^2 + 2*c^2 + 2*d^2 - a",
+                         "2*a*b + 2*b*c + 2*c*d - b", "b^2 + 2*a*c + 2*b*d - c"]),
 }
+PRODUCT_BASES = {**MULTI_BASES, "sphere": CHARTS["sphere-z"].localization.qring.gb,
+                 "affine2 (empty basis)": CHARTS["affine2"].localization.qring.gb,
+                 "twisted cubic, lex": _basis(("x", "y", "z"), ["y - x^2", "z - x^3"], lex)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -187,15 +195,96 @@ def test_partials_of_normal_forms_are_normal_forms(data):
         assert gb.reduce(dp) == dp
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_product_is_the_normal_form_of_the_full_product(data):
+    gb = PRODUCT_BASES[data.draw(st.sampled_from(sorted(PRODUCT_BASES)))]
+    a, b = (data.draw(polynomials(gb.ring, max_degree=5, max_terms=4)) for _ in "ab")
+    if data.draw(st.booleans()):
+        a, b = gb.reduce(a), gb.reduce(b)
+    got, want = gb.reduce_product(a, b), gb.reduce(a * b)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_katsura_products_meet_fractional_normal_forms():
+    gb = MULTI_BASES["katsura-3"]
+    ring = gb.ring
+    monomials = [ring.monomial((i, j, k, 0)) for i in range(3) for j in range(3) for k in range(3)]
+    dens = set()
+    for a in monomials:
+        for b in monomials:
+            got = gb.reduce_product(a * 3, b + 1)
+            assert got == gb.reduce(a * 3 * (b + 1))
+            dens.add(got.den)
+    assert dens > {1}
+
+
+def test_a_product_past_the_degree_cap_raises_as_the_full_product_does():
+    for name in ("sphere", "torus", "affine2 (empty basis)"):
+        gb = PRODUCT_BASES[name]
+        ring = gb.ring
+        first, last = ring.variables[0], ring.variables[-1]
+        a = parse_poly(f"{last}^30 + {first}^40", ring)
+        # the first term pair past the cap has a lower degree than the product
+        for b in (parse_poly(f"{first}^35 - 1", ring), parse_poly(f"{first}^25", ring)):
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(DegreeOverflowError) as full:
+                    x * y
+                with pytest.raises(DegreeOverflowError) as table:
+                    gb.reduce_product(x, y)
+                assert str(table.value) == str(full.value)
+        assert str(full.value) == "total degree 65 exceeds the ring cap 64"
+        at_cap = parse_poly(f"{last}^24 - {first}", ring)
+        assert gb.reduce_product(a, at_cap) == gb.reduce(a * at_cap)
+        assert gb.reduce_product(ring.zero(), a).is_zero()
+
+
+def test_a_lex_product_is_divided_whole():
+    """Under lex a monomial's normal form can pass the degree cap where the
+    product's does not: here NF(x^2) = NF(x*y^40) = y^80."""
+    gb = _basis(("x", "y"), ["x - y^40"], lex)
+    x, y = gb.ring.var("x"), gb.ring.var("y")
+    assert gb.reduce_product(x, x - y**40).is_zero()
+    with pytest.raises(DegreeOverflowError, match="total degree 80"):
+        gb.reduce(x * x)
+
+
+@pytest.mark.parametrize("name", ["sphere", "affine2 (empty basis)"])
+def test_a_product_of_another_ring_is_rejected(name):
+    gb = PRODUCT_BASES[name]
+    other = PolyRing(("x", "y", "w"))
+    with pytest.raises(ValueError, match="different ring"):
+        gb.reduce_product(other.var("x"), other.var("y"))
+    with pytest.raises(ValueError, match="mismatch"):
+        gb.reduce_product(gb.ring.var("x"), other.var("y"))
+
+
+def test_a_power_of_h_past_the_cap_names_the_first_power_past_it():
+    # built one factor h at a time, without recursion
+    loc = sphere_variety().chart("z").localization
+    assert loc.h.rep == loc.qring.ring.var("z")
+    with pytest.raises(DegreeOverflowError, match="total degree 65 exceeds the ring cap 64"):
+        loc.hpow(3000)
+    assert loc.hpow(64) == loc.hpow(63) * loc.h
+
+
+def test_a_power_of_h_equal_to_one_costs_no_product(count_calls):
+    loc = CHARTS["affine2"].localization
+    products = count_calls(QuotientElement, "__mul__")
+    assert loc.hpow(10**9) == loc.qring.one()
+    assert products.calls == 0
+
+
 def test_sphere_gauge_grad_normal_form_count(count_calls):
     """Work-count guard: the bundled sphere_gauge_grad scenario at its own
-    seed takes 5,345 normal forms (6,671 before tau derivatives were
+    seed takes 498 normal forms (5,345 when each product of quotient
+    elements was divided afresh, 6,671 before tau derivatives were
     remembered and unused products skipped); with the two-sided formulas
-    above it took 16,683.  The bound is half of that."""
+    above it took 16,683.  The bound is a tenth of 5,345."""
     normal_forms = count_calls(GroebnerBasis, "reduce")
     report = run_scenario(load_bundled("sphere_gauge_grad.json"), timing=False)
     assert report["status"] == "pass"
-    assert 0 < normal_forms.calls <= 16_683 // 2
+    assert 0 < normal_forms.calls <= 5_345 // 10
 
 
 def test_sphere_gauge_grad_quotient_rule_count(count_calls):
