@@ -8,6 +8,16 @@ coefficients (f_1..f_N) acts on g (x) u by
     sum_i [ f_i tau_i(g) (x) u  +  f_i g (x) B_i u
             + sum_p g tau_p(f_i) (x) rho(E_pi) u ].
 
+The action is computed in matrix form, eta.(g (x) u) = eta(g) (x) u +
+g (x) M_eta u, with the connection matrix
+
+    M_eta = sum_i f_i B_i + sum_{p,i} tau_p(f_i) rho(E_pi)
+
+(plus sum_i f_i pi_i on the diagonal when a 1-form pi twists the
+action).  M_eta depends on eta alone, so each column is summed from the
+small elements f_i, tau_p(f_i) and the matrix entries before the large
+coefficient g is multiplied, once per nonzero entry.
+
 The three gauge-field axioms (linearity over A_(h); commutation with
 the gl_N action; flatness of the connection tau_i + B_i) are verified
 entrywise and reported with witnesses.  A closed 1-form twists the
@@ -235,40 +245,43 @@ class GaugeModule:
     # -- actions ---------------------------------------------------------------
 
     def act(self, eta: Sequence[LocalizedElement], x: GaugeElement) -> GaugeElement:
-        """Act by the chart derivation with coefficients eta."""
+        """Act by the chart derivation with coefficients eta, in the matrix
+        form of the module docstring: g at u is multiplied once by each
+        nonzero entry of column u of M_eta, and sum_i f_i tau_i(g) is added
+        at u."""
         if len(eta) != len(self.chart.parameters):
             raise ValueError("one coefficient per chart parameter is required")
         frame = self.chart.frame
         params = self.chart.parameters
-        columns, rho_columns = self.field.columns, self.rho_columns
-        out: dict[int, LocalizedElement] = {}
+        columns = self.field.columns
         tau_eta = [[frame.derive(p, fi) for p in params] for fi in eta]
-        # f_i g and g tau_p(f_i) are formed only where a matrix column needs them
-        for u, g in x.terms.items():
-            for i, fi in enumerate(eta):
-                if not fi.is_zero():
-                    dg = frame.derive(params[i], g)
-                    if not dg.is_zero():
-                        add_term(out, u, fi * dg)
-                    if columns[i][u]:
-                        fg = fi * g
-                        for r, b in columns[i][u]:
-                            add_term(out, r, fg * b)
-                for p, df in enumerate(tau_eta[i]):
-                    column = rho_columns[p][i][u]
-                    if column and not df.is_zero():
-                        gdf = g * df
-                        for r, c in column.items():
-                            add_term(out, r, gdf * c)
-        result = GaugeElement(self.loc, out)
+        fields = [(i, fi) for i, fi in enumerate(eta) if fi]
+        # (the columns of rho(E_pi), tau_p(f_i)) for each nonzero tau_p(f_i)
+        rho_terms = [(self.rho_columns[p][i], df) for i, row in enumerate(tau_eta)
+                     for p, df in enumerate(row) if df]
+        twist = None
         if self.oneform is not None:
-            p_term = self.loc.zero()
-            for fi, pi in zip(eta, self.oneform.coeffs):
-                if not fi.is_zero():
-                    p_term = p_term + fi * pi
-            if not p_term.is_zero():
-                result = result + x.scale(p_term)
-        return result
+            twist = self.loc.zero()
+            for i, fi in fields:
+                twist = twist + fi * self.oneform.coeffs[i]
+        out: dict[int, LocalizedElement] = {}
+        for u, g in x.terms.items():
+            column: dict[int, LocalizedElement] = {}
+            for i, fi in fields:
+                for r, b in columns[i][u]:
+                    add_term(column, r, fi * b)
+            for rho, df in rho_terms:
+                for r, c in rho[u].items():
+                    add_term(column, r, df * c)
+            if twist is not None:
+                add_term(column, u, twist)
+            for i, fi in fields:
+                dg = frame.derive(params[i], g)
+                if dg:
+                    add_term(out, u, fi * dg)
+            for r, m in column.items():
+                add_term(out, r, g * m)
+        return GaugeElement(self.loc, out)
 
     def a_mul(self, f: LocalizedElement, x: GaugeElement) -> GaugeElement:
         """The multiplication action of A_(h), coefficientwise."""

@@ -79,6 +79,7 @@ Reducer = tuple[Exponents, tuple[tuple[Exponents, int | Fraction], ...]]
 # The normal form of a monomial: None for a standard monomial, else its terms
 # as int numerators over one denominator.
 MonomialForm = tuple[tuple[tuple[Exponents, int], ...], int] | None
+_MISSING = object()  # a monomial not yet in a basis's table of forms
 
 
 def _monic(p: Polynomial, dkey: Key) -> Polynomial:
@@ -177,8 +178,9 @@ class GroebnerBasis:
     def reduce_product(self, a: Polynomial, b: Polynomial) -> Polynomial:
         """``reduce(a * b)``, built without a * b.  Normal form is linear, so
         each term pair adds c_a c_b NF(x^(e_a + e_b)); the normal form of
-        each monomial is computed once, by division, and kept.  The sums are
-        int numerators over the lcm of the denominators of the forms met.
+        each monomial is computed once, by division, and kept.  The operand
+        with fewer terms runs in the outer loop.  The sums are int numerators
+        over the lcm of the denominators of the forms met.
 
         Under lex, the normal form of one monomial can pass the degree cap
         where that of the whole product does not, so lex divides a * b.
@@ -191,15 +193,16 @@ class GroebnerBasis:
         if self.order.kind != "grevlex":
             return self.reduce(a * b)
         a._check_ring(b)
+        if len(a.num) > len(b.num):
+            a, b = b, a
         forms = self._monomial_forms
         out: dict[Exponents, int] = {}
         den = 1
         for ea, ca in a.num.items():
             for eb, cb in b.num.items():
                 e = tuple(map(add, ea, eb))
-                if e in forms:
-                    form = forms[e]
-                else:
+                form = forms.get(e, _MISSING)
+                if form is _MISSING:
                     if sum(e) > ring.degree_cap:
                         # where a * b raises: Q[x] is a domain, so deg ab = deg a + deg b
                         _check_total_degree(ring, max(map(sum, a.num)) + max(map(sum, b.num)))
@@ -351,11 +354,11 @@ class QuotientElement:
         self.rep = rep
 
     def is_zero(self) -> bool:
-        return self.rep.is_zero()
+        return not self.rep.num
 
     def _coerce(self, other) -> "QuotientElement":
         if isinstance(other, QuotientElement):
-            if other.qring != self.qring:
+            if other.qring is not self.qring and other.qring != self.qring:
                 raise ValueError("elements of different quotient rings")
             return other
         if isinstance(other, Polynomial):
@@ -363,7 +366,8 @@ class QuotientElement:
         return self.qring.element(self.qring.ring.const(other))
 
     def __add__(self, other) -> "QuotientElement":
-        other = self._coerce(other)
+        if type(other) is not QuotientElement or other.qring is not self.qring:
+            other = self._coerce(other)
         # a sum of normal forms is a normal form: no new monomials appear
         return QuotientElement(self.qring, self.rep + other.rep)
 
@@ -376,9 +380,15 @@ class QuotientElement:
         return self + (-self._coerce(other))
 
     def __mul__(self, other) -> "QuotientElement":
-        if type(other) is not QuotientElement and isinstance(other, (int, Fraction)):
-            return QuotientElement(self.qring, self.rep * other)
-        other = self._coerce(other)
+        if type(other) is not QuotientElement or other.qring is not self.qring:
+            if isinstance(other, (int, Fraction)):
+                return QuotientElement(self.qring, self.rep * other)
+            other = self._coerce(other)
+        # a zero factor is the product: immutable, so it is returned as it is
+        if not self.rep.num:
+            return self
+        if not other.rep.num:
+            return other
         return QuotientElement(self.qring, self.qring.gb.reduce_product(self.rep, other.rep))
 
     __rmul__ = __mul__
@@ -421,12 +431,18 @@ class Localization:
 
     def hpow(self, k: int) -> QuotientElement:
         """h^k.  Every power built is kept, and a new one is built from the
-        largest kept power one factor h at a time, so an overflow names the
-        first power past the degree cap.  A power of h = 1 is h itself."""
+        largest kept power one factor h at a time.  A power of h = 1 is h
+        itself.  Where k deg(h) passes the degree cap, as the full product
+        h^k would in Q[x], nothing is built: the error names the first
+        power past the cap, even where the normal forms of the powers do
+        not grow in degree (h = x with x^2 = 2)."""
         powers = self._hpow
         if k not in powers:
             if self.h == powers[0]:
                 return self.h
+            ring, deg = self.qring.ring, max(map(sum, self.h.rep.num))
+            if deg and k * deg > ring.degree_cap:
+                _check_total_degree(ring, (ring.degree_cap // deg + 1) * deg)
             for j in range(len(powers), k + 1):
                 powers[j] = powers[j - 1] * self.h
         return powers[k]
@@ -479,23 +495,24 @@ class LocalizedElement:
     def __init__(self, loc: Localization, num: QuotientElement, hpower: int):
         self.loc = loc
         self.num = num
-        self.hpower = hpower if not num.is_zero() else 0
+        self.hpower = hpower if num.rep.num else 0
         self._derived: "dict[TauDerivation, LocalizedElement] | None" = None
 
     def is_zero(self) -> bool:
         # valid because h is not a zero divisor in A
-        return self.num.is_zero()
+        return not self.num.rep.num
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        return bool(self.num.rep.num)
 
     def _check(self, other: "LocalizedElement") -> None:
-        if self.loc != other.loc:
+        if self.loc is not other.loc and self.loc != other.loc:
             raise ValueError("localized elements with different denominators h")
 
     def __add__(self, other) -> "LocalizedElement":
-        other = self._coerce(other)
-        self._check(other)
+        if type(other) is not LocalizedElement or other.loc is not self.loc:
+            other = self._coerce(other)
+            self._check(other)
         if not other:
             return self
         if not self:
@@ -514,10 +531,13 @@ class LocalizedElement:
         return self + (-self._coerce(other))
 
     def __mul__(self, other) -> "LocalizedElement":
-        if type(other) is not LocalizedElement and isinstance(other, (int, Fraction)):
-            return LocalizedElement(self.loc, self.num * other, self.hpower)
-        other = self._coerce(other)
-        self._check(other)
+        if type(other) is not LocalizedElement or other.loc is not self.loc:
+            if isinstance(other, (int, Fraction)):
+                if other == 1:
+                    return self
+                return LocalizedElement(self.loc, self.num * other, self.hpower)
+            other = self._coerce(other)
+            self._check(other)
         return LocalizedElement(self.loc, self.num * other.num, self.hpower + other.hpower)
 
     __rmul__ = __mul__

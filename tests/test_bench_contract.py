@@ -21,16 +21,22 @@ tracer = Tracer()
 tracer.install()
 from gaugemods import cli
 code = cli.main(["run", sys.argv[3], "--no-timing", "--samples", "2"])
-seen = tracer.summary()[sys.argv[4]]
-assert seen >= int(sys.argv[5]), f"tracer saw {seen} {sys.argv[4]}, not {sys.argv[5]}"
+summary = tracer.summary()
+for metric, least in zip(sys.argv[4::2], sys.argv[5::2]):
+    seen = summary[metric]
+    assert seen >= int(least), f"tracer saw {seen} {metric}, not {least}"
 sys.exit(code)
 """
 
 
-def _run_traced(scenario: str, metric: str, least: int) -> subprocess.CompletedProcess:
+def _run_traced(scenario: str, metric: str, least: int,
+                *more: str | int) -> subprocess.CompletedProcess:
+    """Run a bundled scenario under the tracer; each (metric, least) pair
+    must have been counted at least ``least`` times."""
     return subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src"),
-         str(ROOT / "src" / "gaugemods" / "scenarios" / scenario), metric, str(least)],
+         str(ROOT / "src" / "gaugemods" / "scenarios" / scenario),
+         metric, str(least), *map(str, more)],
         capture_output=True, text=True, timeout=120)
 
 
@@ -47,4 +53,12 @@ def test_tracer_sees_p_poly_matrix_on_the_casimir_scenario():
 def test_tracer_sees_the_checks_that_a_check_table_calls():
     # two av_compat and two lie_action samples, ten twist_roundtrip samples
     proc = _run_traced("affine1_gauge.json", "gauge.check.calls", 14)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_sees_every_action_and_the_products_inside_it():
+    # at two samples affine1_gauge acts 84 times; the action's products must
+    # pass through the localized product the tracer wraps
+    proc = _run_traced("affine1_gauge.json", "gauge.act.calls", 84,
+                       "groebner.loc_mul.calls", 1)
     assert proc.returncode == 0, proc.stderr

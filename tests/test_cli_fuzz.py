@@ -180,6 +180,10 @@ FOUND = {
     "an entry over h^(10^9) with h = 1 recursed once per power of h": (
         _with("affine2_gauge.json", lambda s: s.update(
             B=[{"num": "1", "hpower": HUGE}, "0"])), 0),
+    "an entry over h^(10^9) with h = x on x^2 = 2 built powers without end": (
+        _with("affine1_gauge.json", lambda s: s.update(
+            variety={"variables": ["x", "y"], "generators": ["x^2-2"]},
+            B=[{"num": "1", "hpower": HUGE}])), 3),
 }
 
 

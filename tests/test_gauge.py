@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaugemods import sampling
+from gaugemods import affine_space, circle_gauge, sampling, sphere_variety
 from gaugemods.gauge import (
     GaugeField,
     GaugeModule,
@@ -15,6 +17,7 @@ from gaugemods.gauge import (
     validate_gauge,
 )
 from gaugemods.glrep import exterior_power, trivial_module
+from gaugemods.linalg import add_term
 
 
 def _scalar_field(chart, exprs, dim):
@@ -259,3 +262,89 @@ def test_basis_index_outside_the_module_is_rejected(affine2, index):
     with pytest.raises(ValueError, match=message):
         gm.basis_element(loc.one(), index)
     assert gm.basis_element(loc.one(), 1).terms.keys() == {1}
+
+
+def reference_act(gm, eta, x):
+    """The action term by term, as the module docstring's sum reads: g is
+    multiplied by f_i once per entry of B_i, by tau_p(f_i) once per
+    (p, i), and the twist is added in a second pass."""
+    frame, params = gm.chart.frame, gm.chart.parameters
+    columns, rho_columns = gm.field.columns, gm.rho_columns
+    out = {}
+    tau_eta = [[frame.derive(p, fi) for p in params] for fi in eta]
+    for u, g in x.terms.items():
+        for i, fi in enumerate(eta):
+            if not fi.is_zero():
+                dg = frame.derive(params[i], g)
+                if not dg.is_zero():
+                    add_term(out, u, fi * dg)
+                if columns[i][u]:
+                    fg = fi * g
+                    for r, b in columns[i][u]:
+                        add_term(out, r, fg * b)
+            for p, df in enumerate(tau_eta[i]):
+                column = rho_columns[p][i][u]
+                if column and not df.is_zero():
+                    gdf = g * df
+                    for r, c in column.items():
+                        add_term(out, r, gdf * c)
+    result = gm.element(out)
+    if gm.oneform is not None:
+        p_term = gm.loc.zero()
+        for fi, pi in zip(eta, gm.oneform.coeffs):
+            if not fi.is_zero():
+                p_term = p_term + fi * pi
+        if not p_term.is_zero():
+            result = result + x.scale(p_term)
+    return result
+
+
+def _oracle_modules():
+    """The modules the matrix form is checked on, each also twisted by a
+    closed 1-form: dG for a potential G, or dt/t on the circle."""
+    sphere = sphere_variety()
+    sz = sphere.chart("z")
+    x, y = sphere.ring.var("x"), sphere.ring.var("y")
+    grad = [sz.frame.derive(p, sz.localization.element(x * y)) for p in sz.parameters]
+    line, plane = affine_space(["x"]), affine_space(["x", "y"])
+    a1, a2 = line.charts[0], plane.charts[0]
+    px, py = plane.ring.var("x"), plane.ring.var("y")
+    plain = {
+        "sphere-z flat": (GaugeModule(sz, exterior_power(2, 1), GaugeField.zero(sz, 2)),
+                          x * y * y),
+        "sphere-z grad": (GaugeModule(sz, exterior_power(2, 1),
+                                      GaugeField.scalar(sz, grad, 2)), x - y),
+        "affine1": (GaugeModule(a1, exterior_power(1, 1),
+                                _scalar_field(a1, [line.ring.var("x") ** 2], 1)),
+                    line.ring.var("x") ** 3),
+        "affine2": (GaugeModule(a2, exterior_power(2, 1), _scalar_field(a2, [py, px], 2)),
+                    px * py + py),
+    }
+    modules = {}
+    for name, (gm, potential) in plain.items():
+        loc = gm.loc
+        omega = OneForm(gm.chart, [gm.chart.frame.derive(p, loc.element(potential))
+                                   for p in gm.chart.parameters])
+        modules[name] = gm
+        modules[name + " twisted"] = gm.twist(omega)
+    for alpha in (Fraction(0), Fraction(1, 2), Fraction(5, 3)):
+        gm = circle_gauge(alpha).space
+        s = gm.chart.variety.ring.var("s")
+        modules[f"circle {alpha}"] = gm
+        modules[f"circle {alpha} twisted"] = gm.twist(OneForm(gm.chart, [gm.loc.element(s)]))
+    return modules
+
+
+ORACLE_MODULES = _oracle_modules()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_MODULES)), st.integers(0, 2**32))
+def test_act_is_the_term_by_term_action(name, seed):
+    gm = ORACLE_MODULES[name]
+    rng = random.Random(seed)
+    eta = sampling.chart_field(rng, gm.chart)
+    mu = sampling.chart_field(rng, gm.chart)
+    x = gm.element({u: sampling.localized(rng, gm.loc) for u in range(gm.module.dim)})
+    assert gm.act(eta, x) == reference_act(gm, eta, x)
+    assert gm.act(eta, gm.act(mu, x)) == reference_act(gm, eta, reference_act(gm, mu, x))

@@ -287,6 +287,18 @@ def test_sphere_gauge_grad_normal_form_count(count_calls):
     assert 0 < normal_forms.calls <= 5_345 // 10
 
 
+def test_sphere_gauge_grad_product_count(count_calls):
+    """Work-count guard: the bundled sphere_gauge_grad scenario at its own
+    seed takes 4,161 products in A.  When the action multiplied each
+    coefficient once per gauge and rho term, and a zero factor still
+    reached the product table, it took 4,847.  The bound is nine tenths
+    of 4,847."""
+    products = count_calls(GroebnerBasis, "reduce_product")
+    report = run_scenario(load_bundled("sphere_gauge_grad.json"), timing=False)
+    assert report["status"] == "pass"
+    assert 0 < products.calls <= 4_847 * 9 // 10
+
+
 def test_sphere_gauge_grad_quotient_rule_count(count_calls):
     """Work-count guard: an element remembers its tau derivatives, so the
     bundled sphere_gauge_grad scenario evaluates the quotient rule 693
