@@ -18,9 +18,8 @@ configurable window so that runaway words fail loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import gauge as gauge_mod
 from .glrep import GlModule, UEAElement
@@ -206,8 +205,7 @@ def casimir_scalar_check(alpha: Fraction | int,
     return gauge_mod.CheckResult("casimir_scalar", True)
 
 
-@dataclass(frozen=True)
-class BasisReport:
+class BasisReport(NamedTuple):
     """Extremal-term data for the v_0 orbit family at alpha = 0.
 
     Orders the basis as ... < u_{-1} < v_0 < u_0 < v_1 < ...; the e_0
@@ -271,8 +269,7 @@ def basis_leading_terms(depth: int, window: int = DEFAULT_WINDOW) -> BasisReport
 
 # -- gauge-module realization ----------------------------------------------------
 
-@dataclass
-class CircleGauge:
+class CircleGauge(NamedTuple):
     """The gauge realization of N(alpha) on the chart with parameter t."""
 
     variety: Variety

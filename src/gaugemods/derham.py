@@ -15,10 +15,9 @@ linear algebra up to a stated polynomial degree bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .gauge import CheckResult
 from .glrep import BudgetExceededError
@@ -173,8 +172,7 @@ def witness_not_a_morphism(chart: Chart, B: Sequence[LocalizedElement]) -> tuple
     return f, x, lhs, rhs
 
 
-@dataclass(frozen=True)
-class ObstructionResult:
+class ObstructionResult(NamedTuple):
     """Verdict of the degree-bounded top-form membership certificate.
 
     ``status`` is FEASIBLE (with an explicit witness, re-verified by

@@ -27,8 +27,7 @@ property or the compatibility with multiplication by functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .glrep import GlModule
 from .groebner import Localization, LocalizedElement
@@ -45,8 +44,7 @@ def _columns(m: Sequence[Sequence]) -> tuple[tuple[tuple[int, object], ...], ...
                  for c in range(len(m)))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one exact check, with a rendered witness on failure."""
 
     name: str

@@ -18,9 +18,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .linalg import Combination, Row, add_term
 
@@ -378,8 +377,7 @@ def central_character(m: GlModule) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class ExceptionalReport:
+class ExceptionalReport(NamedTuple):
     """Outcome of the exceptional-module test for one module.
 
     ``verdict`` is "possibly exceptional" when the trace Casimir scalar

@@ -20,7 +20,6 @@ irreducible varieties this package targets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -42,21 +41,28 @@ from .polyring import (
 )
 
 
-@dataclass(frozen=True)
 class Ideal:
     """An ideal of a polynomial ring, given by nonzero generators."""
 
-    ring: PolyRing
-    generators: tuple[Polynomial, ...]
+    __slots__ = ("ring", "generators")
 
-    def __post_init__(self) -> None:
-        if not self.generators:
+    def __init__(self, ring: PolyRing, generators: tuple[Polynomial, ...]):
+        if not generators:
             raise ValueError("an Ideal needs at least one generator")
-        for g in self.generators:
-            if g.ring != self.ring:
+        for g in generators:
+            if g.ring != ring:
                 raise ValueError("generator from a different ring")
             if g.is_zero():
                 raise ValueError("zero generator")
+        self.ring, self.generators = ring, generators
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Ideal):
+            return NotImplemented
+        return (self.ring, self.generators) == (other.ring, other.generators)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.generators))
 
 
 def _divides(a: Exponents, b: Exponents) -> bool:
@@ -323,15 +329,28 @@ class QuotientRing:
     def __init__(self, gb: GroebnerBasis):
         self.gb = gb
         self.ring = gb.ring
+        # a basis element is a constant only when I is the unit ideal
+        self._unit = any(g.is_constant() for g in gb.basis)
+        self._zero, self._one = self.element(self.ring.zero()), self.element(self.ring.one())
 
     def element(self, p: Polynomial) -> "QuotientElement":
+        """p in A.  A constant is its own normal form unless I is the unit
+        ideal, so only then is it divided."""
+        if p.is_constant() and not self._unit and p.ring == self.ring:
+            return QuotientElement(self, p)
         return QuotientElement(self, self.gb.reduce(p))
 
+    def const(self, c: int | Fraction) -> "QuotientElement":
+        """c in A; zero and one are built once per ring."""
+        if type(c) is int and 0 <= c <= 1:
+            return self._one if c else self._zero
+        return self.element(self.ring.const(c))
+
     def zero(self) -> "QuotientElement":
-        return QuotientElement(self, self.ring.zero())
+        return self._zero
 
     def one(self) -> "QuotientElement":
-        return self.element(self.ring.one())
+        return self._one
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -363,7 +382,7 @@ class QuotientElement:
             return other
         if isinstance(other, Polynomial):
             return self.qring.element(other)
-        return self.qring.element(self.qring.ring.const(other))
+        return self.qring.const(other)
 
     def __add__(self, other) -> "QuotientElement":
         if type(other) is not QuotientElement or other.qring is not self.qring:
@@ -427,6 +446,7 @@ class Localization:
         self.qring = qring
         self.h = h
         self.name = name or str(h)
+        self.h_is_one = h == qring.one()  # on an affine chart: h^k a is a
         self._hpow: dict[int, QuotientElement] = {0: qring.one(), 1: h}
 
     def hpow(self, k: int) -> QuotientElement:
@@ -438,7 +458,7 @@ class Localization:
         not grow in degree (h = x with x^2 = 2)."""
         powers = self._hpow
         if k not in powers:
-            if self.h == powers[0]:
+            if self.h_is_one:
                 return self.h
             ring, deg = self.qring.ring, max(map(sum, self.h.rep.num))
             if deg and k * deg > ring.degree_cap:
@@ -461,14 +481,14 @@ class Localization:
         elif isinstance(numerator, Polynomial):
             num = self.qring.element(numerator)
         else:
-            num = self.qring.element(self.qring.ring.const(numerator))
+            num = self.qring.const(numerator)
         return LocalizedElement(self, num, hpower)
 
     def zero(self) -> "LocalizedElement":
-        return self.element(0)
+        return LocalizedElement(self, self.qring.zero(), 0)
 
     def one(self) -> "LocalizedElement":
-        return self.element(1)
+        return LocalizedElement(self, self.qring.one(), 0)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -518,6 +538,8 @@ class LocalizedElement:
         if not self:
             return other
         p, q = self.hpower, other.hpower
+        if p == q or self.loc.h_is_one:
+            return LocalizedElement(self.loc, self.num + other.num, max(p, q))
         a = self.num * self.loc.hpow(q - p) if p < q else self.num
         b = other.num * self.loc.hpow(p - q) if q < p else other.num
         return LocalizedElement(self.loc, a + b, max(p, q))
@@ -553,6 +575,8 @@ class LocalizedElement:
         if not isinstance(other, LocalizedElement):
             return NotImplemented
         self._check(other)
+        if self.loc.h_is_one:
+            return self.num == other.num
         lhs = self.num * other.loc.hpow(other.hpower) if other.hpower else self.num
         rhs = other.num * self.loc.hpow(self.hpower) if self.hpower else other.num
         return lhs == rhs
@@ -570,7 +594,6 @@ class LocalizedElement:
         return f"LocalizedElement({self})"
 
 
-@dataclass(frozen=True, eq=False)
 class TauDerivation:
     """The derivation d/dx_i + sum_j f_ij d/dx_j of A_(h).
 
@@ -581,9 +604,9 @@ class TauDerivation:
     same parameter name on another chart.
     """
 
-    loc: Localization
-    var: str
-    corrections: Mapping[str, LocalizedElement]
+    def __init__(self, loc: Localization, var: str,
+                 corrections: Mapping[str, LocalizedElement]):
+        self.loc, self.var, self.corrections = loc, var, corrections
 
     def apply_poly(self, p: "QuotientElement | Polynomial") -> LocalizedElement:
         """tau(p) for p in A.  The partials of a normal form are normal forms

@@ -12,7 +12,6 @@ ring variable.  The zero polynomial has an empty term map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, itemgetter, neg
@@ -33,7 +32,6 @@ class DegreeOverflowError(RuntimeError):
     """Raised when a result would exceed the ring's total-degree cap."""
 
 
-@dataclass(frozen=True)
 class PolyRing:
     """Descriptor of a polynomial ring QQ[x_1, ..., x_n].
 
@@ -43,12 +41,20 @@ class PolyRing:
     instead of silently producing huge objects.
     """
 
-    variables: tuple[str, ...]
-    degree_cap: int = field(default=DEFAULT_DEGREE_CAP, compare=False)
+    __slots__ = ("variables", "degree_cap")
 
-    def __post_init__(self) -> None:
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError(f"duplicate variable names in {self.variables!r}")
+    def __init__(self, variables: tuple[str, ...], degree_cap: int = DEFAULT_DEGREE_CAP):
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"duplicate variable names in {variables!r}")
+        self.variables, self.degree_cap = variables, degree_cap
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PolyRing):
+            return NotImplemented
+        return self.variables == other.variables
+
+    def __hash__(self) -> int:
+        return hash(self.variables)
 
     @property
     def nvars(self) -> int:
@@ -249,7 +255,6 @@ def _check_total_degree(ring: PolyRing, deg: int) -> None:
         raise DegreeOverflowError(f"total degree {deg} exceeds the ring cap {ring.degree_cap}")
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
     """A monomial order: grevlex or lex, with a variable priority.
 
@@ -257,12 +262,20 @@ class MonomialOrder:
     Both orders are total, multiplicative, and have 1 as the minimum.
     """
 
-    kind: str
-    priority: tuple[str, ...]
+    __slots__ = ("kind", "priority")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("grevlex", "lex"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
+    def __init__(self, kind: str, priority: tuple[str, ...]):
+        if kind not in ("grevlex", "lex"):
+            raise ValueError(f"unknown order kind {kind!r}")
+        self.kind, self.priority = kind, priority
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MonomialOrder):
+            return NotImplemented
+        return (self.kind, self.priority) == (other.kind, other.priority)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.priority))
 
     def key(self, ring: PolyRing) -> Callable[[Exponents], tuple]:
         """Sort key for exponent vectors; max(key) is the leading term."""

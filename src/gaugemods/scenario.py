@@ -13,7 +13,6 @@ times the setup and each check apart.
 
 from __future__ import annotations
 
-import difflib
 import functools
 import itertools
 import json
@@ -126,6 +125,7 @@ def validate_scenario(scn: Any, path: str = "scenario") -> dict:
     table = _TABLES[kind][1]
     for i, name in enumerate(checks or ()):
         if name not in table:
+            import difflib  # only here: an unknown check name is rare
             close = difflib.get_close_matches(name, table, n=1)
             hint = f"did you mean {close[0]!r}?" if close else f"expected one of {list(table)}"
             raise ScenarioError(f"{path}.checks[{i}]: unknown {kind} check {name!r}; {hint}")
@@ -538,8 +538,13 @@ def _witt(c: SimpleNamespace) -> tuple[str, str]:
     # brackets, and forgotten when the check ends
     acted = [functools.lru_cache(maxsize=None)(lambda k, x=x: circle_mod.act_e(k, x))
              for x in c.basis]
+    # m >= n only, so each e_n(e_m x) with n != m is built once: check
+    # (m, n) negates both sides of check (n, m), built from the same
+    # vectors.  It comes later and needs no new vector, so the first failing
+    # pair and the first action to leave the index window are those of the
+    # full grid.
     # lazily: a huge grid leaves the index window at its first pair
-    for n, m in ((n, m) for n in range(-grid, grid + 1) for m in range(-grid, grid + 1)):
+    for n, m in ((n, m) for n in range(-grid, grid + 1) for m in range(n, grid + 1)):
         bad = next((x for x, e_x in zip(c.basis, acted)
                     if not circle_mod.witt_bracket_check(n, m, x, e_x)), None)
         if bad is not None:

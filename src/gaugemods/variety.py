@@ -13,8 +13,7 @@ minor 1 and every variable a chart parameter.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .groebner import (
     GroebnerBasis,
@@ -167,20 +166,29 @@ class Variety:
         return VectorField(self, elems, name)
 
 
-@dataclass(frozen=True)
 class Chart:
     """A chart N(h): a nonzero maximal minor with its column set.
 
     Chart parameters are the ambient variables outside the minor's
     columns.  The tangent frame (the tau derivations) is computed on
-    first use by Cramer's rule and cached.
+    first use by Cramer's rule and cached.  ``minor`` is the raw minor,
+    kept for certificates, and ``h`` the scalar-normalized (monic) minor.
     """
 
-    variety: Variety
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    minor: QuotientElement          # the raw minor, kept for certificates
-    h: QuotientElement              # scalar-normalized (monic) minor
+    def __init__(self, variety: Variety, rows: tuple[int, ...], cols: tuple[int, ...],
+                 minor: QuotientElement, h: QuotientElement):
+        self.variety, self.rows, self.cols, self.minor, self.h = variety, rows, cols, minor, h
+
+    def _key(self) -> tuple:
+        return self.variety, self.rows, self.cols, self.minor, self.h
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Chart):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def name(self) -> str:
@@ -211,8 +219,7 @@ class Chart:
         return f"Chart(h={self.name}, parameters={self.parameters})"
 
 
-@dataclass(frozen=True)
-class TangentFrame:
+class TangentFrame(NamedTuple):
     """The tau derivations of A_(h), one per chart parameter."""
 
     chart: Chart
@@ -273,13 +280,11 @@ def solve_tau(v: Variety, chart: Chart) -> TangentFrame:
     return frame
 
 
-@dataclass(frozen=True)
 class VectorField:
     """A derivation of A given by its ambient coefficient tuple."""
 
-    variety: Variety
-    coeffs: tuple[QuotientElement, ...]
-    name: str = ""
+    def __init__(self, variety: Variety, coeffs: tuple[QuotientElement, ...], name: str = ""):
+        self.variety, self.coeffs, self.name = variety, coeffs, name
 
     def apply(self, p: Polynomial | QuotientElement) -> QuotientElement:
         """eta(p) = sum_i f_i dp/dx_i, reduced in A."""
@@ -295,6 +300,9 @@ class VectorField:
         if not isinstance(other, VectorField):
             return NotImplemented
         return self.variety is other.variety and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     def __str__(self) -> str:
         parts = [f"({c})*d/d{v}" for c, v in zip(self.coeffs, self.variety.ring.variables)

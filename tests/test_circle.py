@@ -231,12 +231,20 @@ def _witt(scenario: dict) -> dict:
 
 
 def test_the_witt_check_acts_once_per_basis_vector_and_generator(count_calls):
-    """e_k x is remembered for each basis vector x while the check runs: the
-    grid-5 scenario makes 11,150 ``act_e`` calls; computed again for every
-    bracket, it made 24,830."""
+    """e_k x is remembered for each basis vector x while the check runs, and
+    only brackets with n <= m are built: the grid-5 scenario makes 6,750
+    ``act_e`` calls.  It made 11,150 when brackets (n, m) and (m, n) each
+    built e_n(e_m x), and 24,830 when every bracket computed its own e_k x."""
     acted = count_calls(circle_mod, "act_e")
     run_scenario(validate_scenario(dict(EXACT_LINALG_CIRCLE)), timing=False)
-    assert acted.calls <= 11_200
+    assert acted.calls <= 6_750
+
+
+def test_an_off_by_one_action_fails_the_witt_check(monkeypatch):
+    original = act_e
+    monkeypatch.setattr(circle_mod, "act_e", lambda n, x: original(n + 1, x))
+    assert _witt(EXACT_LINALG_CIRCLE)["status"] == "fail"
+    assert not witt_bracket_check(1, 2, basis_v(Fraction(1, 2), 0))
 
 
 def test_a_wrong_action_on_one_basis_vector_names_the_first_failing_bracket(monkeypatch):

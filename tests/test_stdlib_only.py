@@ -1,6 +1,9 @@
-"""Runtime code imports only the standard library and the package itself."""
+"""Runtime code imports only the standard library and the package itself,
+and importing the command line loads none of the slow modules it can do without."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,3 +27,13 @@ def _imported_roots(path: Path) -> set[str]:
 def test_module_imports_only_the_standard_library(path):
     allowed = sys.stdlib_module_names | {"gaugemods"}
     assert sorted(_imported_roots(path) - allowed) == []
+
+
+def test_importing_the_cli_leaves_slow_modules_unloaded():
+    # dataclasses pulls in inspect; difflib serves only an unknown check name
+    probe = ("import sys, gaugemods.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'difflib'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
