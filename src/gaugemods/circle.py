@@ -270,20 +270,26 @@ def basis_leading_terms(depth: int, window: int = DEFAULT_WINDOW) -> BasisReport
 # -- gauge-module realization ----------------------------------------------------
 
 class CircleGauge(NamedTuple):
-    """The gauge realization of N(alpha) on the chart with parameter t."""
+    """The gauge realization of N(alpha) on the chart with parameter t.
+
+    ``powers`` keeps each Laurent monomial built by ``laurent``, so that one
+    element, with the tau derivatives it remembers, serves every use."""
 
     variety: Variety
     chart: Chart
     module: GlModule
     space: gauge_mod.GaugeModule
     alpha: Fraction
+    powers: dict[int, LocalizedElement]
 
-
-def _laurent(loc, ring, k: int) -> LocalizedElement:
-    """t^k as a localized element: s^{-k} for negative k (t*s = 1)."""
-    if k >= 0:
-        return loc.element(ring.var("t") ** k)
-    return loc.element(ring.var("s") ** (-k))
+    def laurent(self, k: int) -> LocalizedElement:
+        """t^k as a localized element: s^{-k} for negative k (t*s = 1)."""
+        out = self.powers.get(k)
+        if out is None:
+            ring = self.variety.ring
+            p = ring.var("t") ** k if k >= 0 else ring.var("s") ** -k
+            out = self.powers[k] = self.chart.localization.element(p)
+        return out
 
 
 def circle_gauge(alpha: Fraction | int) -> CircleGauge:
@@ -311,17 +317,15 @@ def circle_gauge(alpha: Fraction | int) -> CircleGauge:
     )
     field = gauge_mod.GaugeField(chart, (chart_frame,))
     space = gauge_mod.GaugeModule(chart, module, field)
-    return CircleGauge(v, chart, module, space, alpha)
+    return CircleGauge(v, chart, module, space, alpha, {})
 
 
 def to_gauge_element(cg: CircleGauge, x: CircleElement) -> gauge_mod.GaugeElement:
     """Map sum c * w_k  to  sum c * t^k (x) w in the gauge realization."""
-    loc = cg.chart.localization
-    ring = cg.variety.ring
     terms: dict[int, LocalizedElement] = {}
     for (sym, k), c in x.terms.items():
         idx = 0 if sym == "v" else 1
-        add_term(terms, idx, _laurent(loc, ring, k) * c)
+        add_term(terms, idx, cg.laurent(k) * c)
     return cg.space.element(terms)
 
 
@@ -335,6 +339,6 @@ def gauge_crosscheck(n: int, k: int, symbol: str, alpha: Fraction | int,
         raise ValueError(f"gauge realization was built for alpha={cg.alpha}, not {alpha}")
     start = basis_v(alpha, k) if symbol == "v" else basis_u(alpha, k)
     expected = to_gauge_element(cg, act_e(n, start))
-    eta = [_laurent(cg.chart.localization, cg.variety.ring, n + 1)]
+    eta = [cg.laurent(n + 1)]
     got = cg.space.act(eta, to_gauge_element(cg, start))
     return got == expected

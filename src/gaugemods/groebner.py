@@ -24,11 +24,11 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, le, sub
 from typing import Callable, Mapping, Sequence
 
 from .linalg import int_form
 from .polyring import (
+    DegreeOverflowError,
     Exponents,
     MonomialOrder,
     Polynomial,
@@ -65,10 +65,6 @@ class Ideal:
         return hash((self.ring, self.generators))
 
 
-def _divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def _exp_sub(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -77,14 +73,14 @@ def _exp_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-Key = Callable[[Exponents], tuple]
-# A basis element prepared for division: its leading exponents, and its other
-# terms with their coefficients scaled by -1/(leading coefficient), each an int
-# where that is exact and a Fraction otherwise.
-Reducer = tuple[Exponents, tuple[tuple[Exponents, int | Fraction], ...]]
+Key = Callable[[int], int | tuple]  # on packed exponents (see ``polyring``)
+# A basis element prepared for division: its packed leading exponents, and its
+# other terms with their coefficients scaled by -1/(leading coefficient), each
+# an int where that is exact and a Fraction otherwise.
+Reducer = tuple[int, tuple[tuple[int, int | Fraction], ...]]
 # The normal form of a monomial: None for a standard monomial, else its terms
 # as int numerators over one denominator.
-MonomialForm = tuple[tuple[tuple[Exponents, int], ...], int] | None
+MonomialForm = tuple[tuple[tuple[int, int], ...], int] | None
 _MISSING = object()  # a monomial not yet in a basis's table of forms
 
 
@@ -114,26 +110,37 @@ def _reduce(p: Polynomial, reducers: Sequence[Reducer], dkey: Key) -> Polynomial
     denominator once at the end.  When no leading monomial divides any
     term of p, p is its own remainder, and it comes back in a dict of its
     own with its terms in descending order, as a division would leave them.
+
+    x^ge divides x^e iff no field of (e | guard) - ge borrows from its guard
+    bit.  Under lex, a term of the division can pass the degree of every
+    term of p; one whose exponents leave a guard bit set raises instead of
+    carrying into the next field.
     """
-    if not any(all(map(le, ge, e)) for e in p.num for ge, _ in reducers):
+    guard = p.ring._guard
+    if not any((e | guard) - ge & guard == guard for e in p.num for ge, _ in reducers):
         return p._sorted(dkey)
     work = dict(p.num)
     heap = [(dkey(e), e) for e in work]
     heapify(heap)
-    remainder: dict[Exponents, int | Fraction] = {}
+    remainder: dict[int, int | Fraction] = {}
     while heap:
         e = heappop(heap)[1]
         c = work.pop(e)
         if not c:
             continue
+        eg = e | guard
         for ge, tail in reducers:
-            if all(map(le, ge, e)):
+            if eg - ge & guard == guard:
                 # subtract (c/lc) * x^(e-ge) * g, whose leading term is c * x^e
-                shift = tuple(map(sub, e, ge))
+                shift = e - ge
                 for me, tc in tail:
-                    te = tuple(map(add, me, shift))
+                    te = me + shift
                     old = work.get(te)
                     if old is None:
+                        if te & guard:
+                            raise DegreeOverflowError(
+                                f"an exponent of a term met in division exceeds the "
+                                f"exponent fields of ring {p.ring.variables}")
                         work[te] = c * tc
                         heappush(heap, (dkey(te), te))
                     else:
@@ -172,9 +179,9 @@ class GroebnerBasis:
         self.order = order
         self.basis = tuple(basis)
         self.generators = tuple(generators)
-        self._dkey = order.descending_key(ring)
+        self._dkey = order.packed_descending_key(ring)
         self._reducers = tuple(_reducer(g, self._dkey) for g in self.basis)
-        self._monomial_forms: dict[Exponents, MonomialForm] = {}
+        self._monomial_forms: dict[int, MonomialForm] = {}
 
     def reduce(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
@@ -186,7 +193,9 @@ class GroebnerBasis:
         each term pair adds c_a c_b NF(x^(e_a + e_b)); the normal form of
         each monomial is computed once, by division, and kept.  The operand
         with fewer terms runs in the outer loop.  The sums are int numerators
-        over the lcm of the denominators of the forms met.
+        over the lcm of the denominators of the forms met.  A one-term
+        operand shifts the other, and a shift whose monomials are all known
+        to be standard is its own normal form.
 
         Under lex, the normal form of one monomial can pass the degree cap
         where that of the whole product does not, so lex divides a * b.
@@ -202,16 +211,26 @@ class GroebnerBasis:
         if len(a.num) > len(b.num):
             a, b = b, a
         forms = self._monomial_forms
-        out: dict[Exponents, int] = {}
-        den = 1
+        if len(a.num) == 1:
+            [(ea, ca)] = a.num.items()
+            shifted = {}
+            for eb, cb in b.num.items():
+                e = ea + eb
+                if forms.get(e, _MISSING) is not None:
+                    break
+                shifted[e] = ca * cb
+            else:
+                return Polynomial._own(ring, shifted, a.den * b.den)
+        out: dict[int, int] = {}
+        den, dshift = 1, ring._dshift
         for ea, ca in a.num.items():
             for eb, cb in b.num.items():
-                e = tuple(map(add, ea, eb))
+                e = ea + eb
                 form = forms.get(e, _MISSING)
                 if form is _MISSING:
-                    if sum(e) > ring.degree_cap:
+                    if e >> dshift > ring.degree_cap:
                         # where a * b raises: Q[x] is a domain, so deg ab = deg a + deg b
-                        _check_total_degree(ring, max(map(sum, a.num)) + max(map(sum, b.num)))
+                        _check_total_degree(ring, (max(a.num) >> dshift) + (max(b.num) >> dshift))
                     form = forms[e] = self._monomial_form(e)
                 c = ca * cb * den
                 if form is None:
@@ -228,7 +247,7 @@ class GroebnerBasis:
                     out[f] = out.get(f, 0) + c * v
         return Polynomial._own(ring, {f: v for f, v in out.items() if v}, a.den * b.den * den)
 
-    def _monomial_form(self, e: Exponents) -> MonomialForm:
+    def _monomial_form(self, e: int) -> MonomialForm:
         nf = _reduce(Polynomial._own(self.ring, {e: 1}), self._reducers, self._dkey)
         return None if e in nf.num else (tuple(nf.num.items()), nf.den)
 
@@ -260,12 +279,12 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     ring = ideal.ring
     order = order or grevlex(ring)
     key = order.key(ring)
-    dkey = order.descending_key(ring)
+    dkey = order.packed_descending_key(ring)
 
     basis = [_monic(g, dkey) for g in ideal.generators]
     basis.sort(key=lambda g: dkey(min(g.num, key=dkey)), reverse=True)
     reducers = [_reducer(g, dkey) for g in basis]
-    leads = [lead for lead, _ in reducers]
+    leads = [ring.unpack(lead) for lead, _ in reducers]
 
     def pair_key(i: int, j: int) -> tuple:
         # unique, since it ends in (i, j): the heap pops pairs in one fixed order
@@ -284,7 +303,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
             r = _monic(r, dkey)
             basis.append(r)
             reducers.append(_reducer(r, dkey))
-            leads.append(reducers[-1][0])
+            leads.append(ring.unpack(reducers[-1][0]))
             new = len(basis) - 1
             for k in range(new):
                 heappush(pairs, pair_key(k, new))
@@ -296,9 +315,10 @@ def _reduce_basis(basis: list[Polynomial], reducers: list[Reducer],
                   dkey: Key) -> list[Polynomial]:
     """Minimalize and tail-reduce, producing the canonical reduced basis."""
     leads = [lead for lead, _ in reducers]
+    guard = basis[0].ring._guard
     keep = []
     for i, e in enumerate(leads):
-        if any(j != i and _divides(leads[j], e) and
+        if any(j != i and (e | guard) - leads[j] & guard == guard and
                (leads[j] != e or j < i) for j in range(len(basis))):
             continue
         keep.append(i)
@@ -460,7 +480,8 @@ class Localization:
         if k not in powers:
             if self.h_is_one:
                 return self.h
-            ring, deg = self.qring.ring, max(map(sum, self.h.rep.num))
+            ring = self.qring.ring
+            deg = max(self.h.rep.num) >> ring._dshift
             if deg and k * deg > ring.degree_cap:
                 _check_total_degree(ring, (ring.degree_cap // deg + 1) * deg)
             for j in range(len(powers), k + 1):

@@ -6,15 +6,24 @@ descriptor that fixes the variable names.  All arithmetic is exact; there
 is no floating point anywhere.  Values are immutable after construction,
 so they are safe to share between threads and to use as dictionary keys.
 
-Exponent vectors are plain tuples of non-negative ints, one entry per
-ring variable.  The zero polynomial has an empty term map.
+Inside a polynomial each exponent vector is packed into one int
+(Monagan and Pearce, 2007): one fixed-width field per variable, the first
+variable lowest, and the total degree in the field above them.  The top
+bit of each field is a guard that stays clear, so a product of monomials
+is one int addition that never carries into the next field, and a
+divisibility test is one subtraction and mask.  The field width depends
+only on the number of variables, so equal rings pack alike.  At the
+boundary, in ``Polynomial(ring, terms)``, ``monomial``, ``coefficient``,
+``leading_term``, the ``terms`` view and the order keys, exponent vectors
+are plain tuples of non-negative ints, one entry per ring variable.  The
+zero polynomial has an empty term map.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, itemgetter, neg
+from operator import itemgetter, mul, neg
 from typing import Callable, Iterable, Mapping
 
 from .linalg import IntForm, int_form
@@ -38,15 +47,27 @@ class PolyRing:
     Two descriptors are interchangeable iff they list the same variables
     in the same order.  The degree cap bounds the total degree of any
     constructed polynomial; exceeding it raises ``DegreeOverflowError``
-    instead of silently producing huge objects.
+    instead of silently producing huge objects.  Twice the cap must fit an
+    exponent field, so that the product of two monomials within the cap
+    is packed exactly and the cap check sees its true degree.
     """
 
-    __slots__ = ("variables", "degree_cap")
+    __slots__ = ("variables", "degree_cap", "_mask", "_shifts", "_units", "_dshift", "_guard")
 
     def __init__(self, variables: tuple[str, ...], degree_cap: int = DEFAULT_DEGREE_CAP):
         if len(set(variables)) != len(variables):
             raise ValueError(f"duplicate variable names in {variables!r}")
+        n = len(variables)
+        # 64 bits in all where fields of 8 bits allow it
+        w = max(8, 64 // (n + 1))
+        if 2 * degree_cap >= 1 << w:
+            raise ValueError(f"degree cap {degree_cap} is too large for a ring in {n} "
+                             f"variables: twice the cap must fit a {w}-bit exponent field")
         self.variables, self.degree_cap = variables, degree_cap
+        self._mask, self._shifts, self._dshift = (1 << w) - 1, tuple(range(0, w * n, w)), w * n
+        # x_i packed: its own field and the degree field
+        self._units = tuple((1 << s) + (1 << w * n) for s in self._shifts)
+        self._guard = sum(1 << s + w - 1 for s in range(0, w * (n + 1), w))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyRing):
@@ -80,10 +101,22 @@ class PolyRing:
         exps[self.index(name)] = 1
         return self.monomial(exps)
 
-    def monomial(self, exps: Iterable[int], coeff: int | Fraction = 1) -> "Polynomial":
+    def pack(self, exps: Iterable[int]) -> int:
+        """The packed int of an exponent vector.  A vector whose total degree
+        does not fit a field passes the cap too, and raises as it does."""
         e = tuple(exps)
-        if len(e) != self.nvars or any(k < 0 for k in e):
+        if len(e) != len(self._units) or any(k < 0 for k in e):
             raise ValueError(f"bad exponent vector {e!r} for ring {self.variables}")
+        if sum(e) > self._mask >> 1:
+            _check_total_degree(self, sum(e))
+        return sum(map(mul, e, self._units))
+
+    def unpack(self, e: int) -> Exponents:
+        mask = self._mask
+        return tuple(e >> s & mask for s in self._shifts)
+
+    def monomial(self, exps: Iterable[int], coeff: int | Fraction = 1) -> "Polynomial":
+        e = self.pack(exps)
         if not isinstance(coeff, (int, Fraction)):
             raise TypeError(f"coefficient {coeff!r} is not an int or a Fraction")
         num = {e: coeff.numerator} if coeff else {}
@@ -94,9 +127,10 @@ class PolyRing:
 class Polynomial(IntForm):
     """Immutable sparse polynomial with exact rational coefficients.
 
-    An integer form (see ``linalg``): ``num`` maps exponents to int
-    numerators over ``den``, and ``terms`` is the rational view, exponents
-    to ``Fraction``.  Equality is equality of ring, ``num`` and ``den``.
+    An integer form (see ``linalg``): ``num`` maps packed exponents to int
+    numerators over ``den``, and ``terms`` is the rational view, exponent
+    tuples to ``Fraction``.  Equality is equality of ring, ``num`` and
+    ``den``.
 
     Supports ``+ - * **`` against other polynomials of the same ring and
     against ints/Fractions.
@@ -106,21 +140,22 @@ class Polynomial(IntForm):
 
     def __init__(self, ring: PolyRing, terms: Mapping[Exponents, int | Fraction]):
         self.ring, self._hash, self._terms = ring, None, None
-        self.num, self.den = int_form(terms)
+        pack = ring.pack
+        self.num, self.den = int_form({pack(e): c for e, c in terms.items()})
         _check_degree(ring, self.num)
 
     @classmethod
-    def _own(cls, ring: PolyRing, num: dict[Exponents, int], den: int = 1) -> "Polynomial":
+    def _own(cls, ring: PolyRing, num: dict[int, int], den: int = 1) -> "Polynomial":
         """A polynomial on numerators as ``IntForm._adopt`` takes them.  The
         caller checks the degree cap wherever the degree can grow."""
         p = cls.__new__(cls)
         p.ring, p._hash = ring, None
         return p._adopt(num, den)
 
-    def _like(self, num: dict[Exponents, int], den: int) -> "Polynomial":
+    def _like(self, num: dict[int, int], den: int) -> "Polynomial":
         return Polynomial._own(self.ring, num, den)
 
-    def _sorted(self, key: Callable[[Exponents], tuple]) -> "Polynomial":
+    def _sorted(self, key: Callable[[int], int | tuple]) -> "Polynomial":
         """The same polynomial with its terms in ``key`` order, in a dict of its
         own.  The numerators are canonical already, so no gcd is taken, and
         fewer than two terms are in order already."""
@@ -133,11 +168,24 @@ class Polynomial(IntForm):
 
     # -- basic queries ----------------------------------------------------
 
+    @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        """Exponent tuples to nonzero ``Fraction`` coefficients, built on first
+        use and cached, and read-only as in ``IntForm.terms``."""
+        if self._terms is None:
+            den, unpack = self.den, self.ring.unpack
+            self._terms = {unpack(e): Fraction(c, den) for e, c in self.num.items()}
+        return self._terms
+
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.num)
+        return not any(self.num)
 
     def coefficient(self, exps: Exponents) -> Fraction:
-        return Fraction(self.num.get(tuple(exps), 0), self.den)
+        try:
+            e = self.ring.pack(exps)
+        except (ValueError, DegreeOverflowError):  # no term has such a vector
+            return Fraction(0)
+        return Fraction(self.num.get(e, 0), self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -178,13 +226,12 @@ class Polynomial(IntForm):
         a, b = self.num, other.num
         if len(a) == 1 or len(b) == 1:
             # a one-term factor shifts the other's exponents, which stay distinct
-            out = {tuple(map(add, ea, eb)): ca * cb
-                   for ea, ca in a.items() for eb, cb in b.items()}
+            out = {ea + eb: ca * cb for ea, ca in a.items() for eb, cb in b.items()}
         else:
             out = {}
             for ea, ca in a.items():
                 for eb, cb in b.items():
-                    e = tuple(map(add, ea, eb))
+                    e = ea + eb
                     old = out.get(e)
                     if old is None:
                         out[e] = ca * cb
@@ -220,21 +267,22 @@ class Polynomial(IntForm):
 
     def __hash__(self) -> int:
         if self._hash is None:
-            # an int hashes as the Fraction of the same value
-            den = self.den
-            items = (self.num.items() if den == 1
-                     else ((e, Fraction(c, den)) for e, c in self.num.items()))
-            self._hash = hash((self.ring.variables, frozenset(items)))
+            # the hash of the terms view: an int hashes as the Fraction of its value
+            den, unpack = self.den, self.ring.unpack
+            self._hash = hash((self.ring.variables, frozenset(
+                (unpack(e), c if den == 1 else Fraction(c, den)) for e, c in self.num.items())))
         return self._hash
 
     # -- calculus ----------------------------------------------------------
 
     def partial(self, var: str) -> "Polynomial":
         """Formal partial derivative with respect to a ring variable."""
-        i = self.ring.index(var)
+        ring = self.ring
+        i = ring.index(var)
+        s, mask, unit = ring._shifts[i], ring._mask, ring._units[i]
         # distinct exponents with e[i] > 0 stay distinct after e[i] - 1
-        out = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.num.items() if e[i]}
-        return Polynomial._own(self.ring, out, self.den)
+        out = {e - unit: c * k for e, c in self.num.items() if (k := e >> s & mask)}
+        return Polynomial._own(ring, out, self.den)
 
     # -- rendering -----------------------------------------------------------
 
@@ -245,9 +293,10 @@ class Polynomial(IntForm):
         return f"Polynomial({render(self)!r})"
 
 
-def _check_degree(ring: PolyRing, terms: Mapping[Exponents, int]) -> None:
+def _check_degree(ring: PolyRing, terms: Mapping[int, int]) -> None:
+    """The degree is the top field, so the largest packed int has the largest."""
     if terms:
-        _check_total_degree(ring, max(map(sum, terms)))
+        _check_total_degree(ring, max(terms) >> ring._dshift)
 
 
 def _check_total_degree(ring: PolyRing, deg: int) -> None:
@@ -286,6 +335,10 @@ class MonomialOrder:
         term, and ``heapq`` pops the largest monomial first."""
         return _order_keys(self.kind, self.priority, ring.variables)[1]
 
+    def packed_descending_key(self, ring: PolyRing) -> Callable[[int], int | tuple]:
+        """``descending_key`` on packed exponents."""
+        return _packed_descending_key(self.kind, self.priority, ring.variables)
+
 
 @lru_cache(maxsize=64)
 def _order_keys(kind: str, priority: tuple[str, ...], variables: tuple[str, ...]
@@ -305,6 +358,19 @@ def _order_keys(kind: str, priority: tuple[str, ...], variables: tuple[str, ...]
             lambda e: (-sum(e), take(e)))
 
 
+@lru_cache(maxsize=64)
+def _packed_descending_key(kind: str, priority: tuple[str, ...], variables: tuple[str, ...]
+                           ) -> Callable[[int], int | tuple]:
+    dkey = _order_keys(kind, priority, variables)[1]
+    ring = PolyRing(variables)
+    if kind == "lex" or priority != variables:
+        unpack = ring.unpack
+        return lambda e: dkey(unpack(e))
+    # grevlex on the ring's own order: the degree field reversed, and below it
+    # the fields compared from the last variable down, smaller first
+    return (ring._mask << ring._dshift).__xor__
+
+
 def grevlex(ring: PolyRing, priority: Iterable[str] | None = None) -> MonomialOrder:
     return MonomialOrder("grevlex", tuple(priority) if priority else ring.variables)
 
@@ -317,8 +383,8 @@ def leading_term(p: Polynomial, order: MonomialOrder) -> tuple[Exponents, Fracti
     """Maximal term of a nonzero polynomial under the given order."""
     if p.is_zero():
         raise ValueError("the zero polynomial has no leading term")
-    e = min(p.num, key=order.descending_key(p.ring))
-    return e, Fraction(p.num[e], p.den)
+    e = min(p.num, key=order.packed_descending_key(p.ring))
+    return p.ring.unpack(e), Fraction(p.num[e], p.den)
 
 
 def _render_monomial(ring: PolyRing, exps: Exponents) -> str:
@@ -342,9 +408,9 @@ def render(p: Polynomial, order: MonomialOrder | None = None) -> str:
         return "0"
     order = order or grevlex(p.ring)
     pieces: list[str] = []
-    for e in sorted(p.num, key=order.descending_key(p.ring)):
+    for e in sorted(p.num, key=order.packed_descending_key(p.ring)):
         c = Fraction(p.num[e], p.den)
-        mono = _render_monomial(p.ring, e)
+        mono = _render_monomial(p.ring, p.ring.unpack(e))
         if not mono:
             body = str(abs(c))
         elif abs(c) == 1:

@@ -193,6 +193,16 @@ class TestGaugeCrosscheck:
                 for sym in ("v", "u"):
                     assert gauge_crosscheck(n, k, sym, a, cg)
 
+    def test_a_realization_keeps_each_laurent_monomial(self):
+        """One element per t^k and realization, so its remembered tau
+        derivatives serve every crosscheck; a new realization builds anew."""
+        cg = circle_gauge(Fraction(1, 2))
+        loc, ring = cg.chart.localization, cg.variety.ring
+        assert cg.laurent(3) is cg.laurent(3) and cg.laurent(-2) is cg.laurent(-2)
+        assert cg.laurent(3) == loc.element(ring.var("t") ** 3)
+        assert cg.laurent(-2) * cg.laurent(2) == loc.one() == cg.laurent(0)
+        assert circle_gauge(Fraction(1, 2)).laurent(3) is not cg.laurent(3)
+
     def test_gauge_field_axioms_hold(self):
         cg = circle_gauge(Fraction(1, 2))
         from gaugemods.gauge import validate_gauge

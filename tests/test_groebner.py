@@ -316,14 +316,14 @@ class TestDivisionOrder:
         reference leaves them, in a dict of its own."""
         gb = GroebnerBasis(RING, order, [g for g in basis if not g.is_zero()] or [SPHERE])
         leads = [leading_term(g, order)[0] for g in gb.basis]
-        kept = [e for e in p.num if not any(all(map(le, ge, e)) for ge in leads)]
+        kept = [e for e in p.terms if not any(all(map(le, ge, e)) for ge in leads)]
         # ascending, so that the remainder has to reorder the terms
         q = Polynomial(RING, {e: p.terms[e] for e in sorted(kept, key=order.key(RING))})
         terms_in = list(q.terms.items())
         got = gb.reduce(q)
         expected = reference_reduce(q, gb.basis, order)
         assert list(got.terms.items()) == list(expected.terms.items())
-        assert list(got.num) == sorted(q.num, key=order.descending_key(RING))
+        assert list(got.terms) == sorted(q.terms, key=order.descending_key(RING))
         assert (q.is_zero() or got.num is not q.num) and list(q.terms.items()) == terms_in
         q.num.clear()
         assert got == expected

@@ -70,8 +70,9 @@ class TestArithmetic:
         built = [RING.var("y"), RING.one(), RING.const(3)]
         monkeypatch.undo()
         assert made == 0
-        assert [(p.num, p.den) for p in built] == [({(0, 1, 0): 1}, 1), ({(0, 0, 0): 1}, 1),
-                                                   ({(0, 0, 0): 3}, 1)]
+        assert [({RING.unpack(e): c for e, c in p.num.items()}, p.den) for p in built] == [
+            ({(0, 1, 0): 1}, 1), ({(0, 0, 0): 1}, 1), ({(0, 0, 0): 3}, 1)]
+        assert all(type(c) is int for p in built for c in p.num.values())
 
     def test_float_coefficients_are_refused(self):
         with pytest.raises(TypeError, match="coefficient -1.0 is not an int or a Fraction"):
