@@ -224,6 +224,7 @@ class GaugeModule:
         n = module.N
         self.rho_columns = tuple(tuple(module.rho[(p + 1, i + 1)] for i in range(n))
                                  for p in range(n))
+        self._connections: dict[tuple[int, ...], _Connection] = {}
 
     # -- element constructors ------------------------------------------------
 
@@ -251,35 +252,32 @@ class GaugeModule:
             raise ValueError("one coefficient per chart parameter is required")
         frame = self.chart.frame
         params = self.chart.parameters
-        columns = self.field.columns
-        tau_eta = [[frame.derive(p, fi) for p in params] for fi in eta]
-        fields = [(i, fi) for i, fi in enumerate(eta) if fi]
-        # (the columns of rho(E_pi), tau_p(f_i)) for each nonzero tau_p(f_i)
-        rho_terms = [(self.rho_columns[p][i], df) for i, row in enumerate(tau_eta)
-                     for p, df in enumerate(row) if df]
-        twist = None
-        if self.oneform is not None:
-            twist = self.loc.zero()
-            for i, fi in fields:
-                twist = twist + fi * self.oneform.coeffs[i]
+        connection = self._connection(eta)
+        fields = connection.fields
         out: dict[int, LocalizedElement] = {}
         for u, g in x.terms.items():
-            column: dict[int, LocalizedElement] = {}
-            for i, fi in fields:
-                for r, b in columns[i][u]:
-                    add_term(column, r, fi * b)
-            for rho, df in rho_terms:
-                for r, c in rho[u].items():
-                    add_term(column, r, df * c)
-            if twist is not None:
-                add_term(column, u, twist)
+            column = connection.column(u)
             for i, fi in fields:
                 dg = frame.derive(params[i], g)
                 if dg:
                     add_term(out, u, fi * dg)
-            for r, m in column.items():
+            for r, m in column:
                 add_term(out, r, g * m)
         return GaugeElement(self.loc, out)
+
+    def _connection(self, eta: Sequence[LocalizedElement]) -> "_Connection":
+        """The connection of eta, kept for the last few vector fields: the
+        checks act by one field again and again.  A field is known by the
+        identity of each coefficient, which never changes, and never by the
+        sequence, which can; a kept field keeps its coefficients alive, so
+        their ids name them alone."""
+        key = tuple(map(id, eta))
+        connection = self._connections.get(key)
+        if connection is None:
+            if len(self._connections) == _KEPT_CONNECTIONS:
+                del self._connections[next(iter(self._connections))]
+            connection = self._connections[key] = _Connection(self, tuple(eta))
+        return connection
 
     def a_mul(self, f: LocalizedElement, x: GaugeElement) -> GaugeElement:
         """The multiplication action of A_(h), coefficientwise."""
@@ -301,6 +299,47 @@ class GaugeModule:
             combined = OneForm(self.chart, tuple(
                 a + b for a, b in zip(self.oneform.coeffs, omega.coeffs)))
         return GaugeModule(self.chart, self.module, self.field, combined)
+
+
+_KEPT_CONNECTIONS = 4  # a Lie check acts by [eta, mu], mu and eta
+
+
+class _Connection:
+    """M_eta of one vector field eta on one gauge module: the nonzero f_i,
+    with the terms of each column of M_eta (see the module docstring)
+    summed from them on first use."""
+
+    def __init__(self, gm: GaugeModule, eta: tuple[LocalizedElement, ...]):
+        frame = gm.chart.frame
+        params = gm.chart.parameters
+        # eta is kept so that no other object takes the ids of its coefficients
+        self.eta, self.field_columns = eta, gm.field.columns
+        self.fields = [(i, fi) for i, fi in enumerate(eta) if fi]
+        # (the columns of rho(E_pi), tau_p(f_i)) for each nonzero tau_p(f_i)
+        self.rho_terms = [(gm.rho_columns[p][i], df) for i, fi in enumerate(eta)
+                          for p, df in enumerate(frame.derive(q, fi) for q in params) if df]
+        self.twist = None
+        if gm.oneform is not None:
+            self.twist = gm.loc.zero()
+            for i, fi in self.fields:
+                self.twist = self.twist + fi * gm.oneform.coeffs[i]
+        self._columns: dict[int, tuple[tuple[int, LocalizedElement], ...]] = {}
+
+    def column(self, u: int) -> tuple[tuple[int, LocalizedElement], ...]:
+        """The (row, entry) pairs of the nonzero entries of column u."""
+        column = self._columns.get(u)
+        if column is None:
+            entries: dict[int, LocalizedElement] = {}
+            for i, fi in self.fields:
+                for r, b in self.field_columns[i][u]:
+                    add_term(entries, r, fi * b)
+            for rho, df in self.rho_terms:
+                for r, c in rho[u].items():
+                    add_term(entries, r, df * c)
+            if self.twist is not None:
+                add_term(entries, u, self.twist)
+            column = self._columns[u] = tuple(entries.items())
+        return column
 
 
 def validate_gauge(gm: GaugeModule) -> list[CheckResult]:

@@ -14,7 +14,14 @@ the plain polynomial product.
 Localized elements are kept lazy: a pair (numerator in A, power of h)
 is never cancelled, and equality is decided by cross-multiplication in
 A.  This is sound whenever h is not a zero divisor, which holds for the
-irreducible varieties this package targets.
+irreducible varieties this package targets.  Their sums and products
+work on the normal-form representatives, one ``IntForm._sum`` or one
+``reduce_product`` each.
+
+A tau derivation is linear too, and a chart derivation keeps a table of
+normal forms per monomial in the same way: tau of n / h^p is one integer
+sum of the kept forms of the terms of n, with no product once the
+monomials of n have been met (see ``TauDerivation``).
 """
 
 from __future__ import annotations
@@ -551,19 +558,26 @@ class LocalizedElement:
             raise ValueError("localized elements with different denominators h")
 
     def __add__(self, other) -> "LocalizedElement":
-        if type(other) is not LocalizedElement or other.loc is not self.loc:
+        """One sum of the numerators, on their representatives: the one over
+        the lower power of h is first multiplied by the missing power."""
+        loc = self.loc
+        if type(other) is not LocalizedElement or other.loc is not loc:
             other = self._coerce(other)
             self._check(other)
-        if not other:
+        b = other.num.rep
+        if not b.num:
             return self
-        if not self:
+        a = self.num.rep
+        if not a.num:
             return other
         p, q = self.hpower, other.hpower
-        if p == q or self.loc.h_is_one:
-            return LocalizedElement(self.loc, self.num + other.num, max(p, q))
-        a = self.num * self.loc.hpow(q - p) if p < q else self.num
-        b = other.num * self.loc.hpow(p - q) if q < p else other.num
-        return LocalizedElement(self.loc, a + b, max(p, q))
+        if p != q and not loc.h_is_one:
+            if p < q:
+                a = loc.qring.gb.reduce_product(a, loc.hpow(q - p).rep)
+            else:
+                b = loc.qring.gb.reduce_product(b, loc.hpow(p - q).rep)
+        # a sum of normal forms is a normal form: no new monomials appear
+        return LocalizedElement(loc, QuotientElement(loc.qring, a._sum(b, 1)), max(p, q))
 
     __radd__ = __add__
 
@@ -574,14 +588,24 @@ class LocalizedElement:
         return self + (-self._coerce(other))
 
     def __mul__(self, other) -> "LocalizedElement":
-        if type(other) is not LocalizedElement or other.loc is not self.loc:
+        """One product of the representatives; a zero factor, immutable, is
+        the product as it is."""
+        loc = self.loc
+        if type(other) is not LocalizedElement or other.loc is not loc:
             if isinstance(other, (int, Fraction)):
                 if other == 1:
                     return self
-                return LocalizedElement(self.loc, self.num * other, self.hpower)
+                num = QuotientElement(loc.qring, self.num.rep._scaled(other))
+                return LocalizedElement(loc, num, self.hpower)
             other = self._coerce(other)
             self._check(other)
-        return LocalizedElement(self.loc, self.num * other.num, self.hpower + other.hpower)
+        a, b = self.num.rep, other.num.rep
+        if not a.num:
+            return self
+        if not b.num:
+            return other
+        num = QuotientElement(loc.qring, loc.qring.gb.reduce_product(a, b))
+        return LocalizedElement(loc, num, self.hpower + other.hpower)
 
     __rmul__ = __mul__
 
@@ -623,11 +647,33 @@ class TauDerivation:
     A derivation compares and hashes by identity, so a result remembered
     for one derivation is never returned for another, even one with the
     same parameter name on another chart.
+
+    tau is linear, and its value on a monomial never changes.  So where
+    every f_ij is some c_ij / h, as in every frame ``solve_tau`` builds,
+    the derivation keeps a table of three normal forms per monomial x^e
+    it has met, each built once from products in A:
+
+    - ``A``: the numerator of tau(x^e) over h, that is
+      NF(h d(x^e)/dx_i + sum_j c_ij d(x^e)/dx_j);
+    - ``B``: NF(h A), for a sum over h^2;
+    - ``C``: NF(x^e t), where tau(h) = t / h^k.
+
+    ``loc_partial`` then sums them over the terms of a numerator (see
+    ``_from_table``).  A derivation with any other coefficient (over h^0,
+    say) has no table and applies the quotient rule.
     """
 
     def __init__(self, loc: Localization, var: str,
                  corrections: Mapping[str, LocalizedElement]):
         self.loc, self.var, self.corrections = loc, var, corrections
+        tabled = all(type(f) is LocalizedElement and f.loc is loc and f.hpower == 1
+                     for f in corrections.values())
+        self._table: dict[int, list[Polynomial | None]] | None = {} if tabled else None
+        ring = loc.qring.ring
+        # the exponent fields of the corrected variables: a monomial outside
+        # them has d/dx_j = 0 for every j
+        self._corrected = sum(ring._mask << ring._shifts[ring.index(name)]
+                              for name in corrections)
 
     def apply_poly(self, p: "QuotientElement | Polynomial") -> LocalizedElement:
         """tau(p) for p in A.  The partials of a normal form are normal forms
@@ -665,13 +711,82 @@ class TauDerivation:
             out = derived[self] = loc_partial(a, self)
         return out
 
+    def _entry(self, e: int, part: int) -> Polynomial:
+        """Part 0, 1 or 2 (A, B or C of the class docstring) of the table
+        entry of x^e, built on first use."""
+        entry = self._table.get(e)
+        if entry is None:
+            entry = self._table[e] = [None, None, None]
+        form = entry[part]
+        if form is None:
+            loc = self.loc
+            gb = loc.qring.gb
+            monomial = Polynomial._own(gb.ring, {e: 1})
+            if part == 0:
+                t = self.apply_poly(QuotientElement(loc.qring, monomial))
+                form = t.num.rep
+                if not t.hpower and not loc.h_is_one:
+                    form = gb.reduce_product(form, loc.h.rep)
+            elif part == 1:
+                form = self._entry(e, 0)
+                if not loc.h_is_one:
+                    form = gb.reduce_product(form, loc.h.rep)
+            else:
+                form = gb.reduce_product(monomial, self.tau_h.num.rep)
+            entry[part] = form
+        return form
+
+    def _from_table(self, n: Polynomial, p: int) -> LocalizedElement:
+        """tau(n / h^p) from the table.  With tau(h) = t / h^k, the quotient
+        rule leaves (sum B - p sum C) / h^(p+2) where k = 1, and
+        (sum A - p sum C) / h^(p+1) where k = 0, each sum over the terms of
+        n.  Where p = 0 or n t = 0, it leaves tau(n) / h^p: tau(n) is
+        sum A / h if n has a term in a corrected variable, and d n/dx_i
+        otherwise."""
+        loc = self.loc
+        t = self._combination(n, 2) if p and self.tau_h else None
+        if t is None or not t.num:
+            if any(e & self._corrected for e in n.num):
+                return LocalizedElement(loc, QuotientElement(loc.qring, self._combination(n, 0)),
+                                        p + 1)
+            return LocalizedElement(loc, QuotientElement(loc.qring, n.partial(self.var)), p)
+        k = self.tau_h.hpower
+        # part k is A where k = 0 and B where k = 1
+        num = self._combination(n, k)._sum(t, -p)
+        return LocalizedElement(loc, QuotientElement(loc.qring, num), p + 1 + k)
+
+    def _combination(self, n: Polynomial, part: int) -> Polynomial:
+        """The sum over the terms c x^e of n of c times part ``part`` of the
+        entry of x^e, in int numerators over one denominator, as in
+        ``GroebnerBasis.reduce_product``."""
+        out: dict[int, int] = {}
+        den = 1
+        for e, c in n.num.items():
+            form = self._entry(e, part)
+            c *= den
+            d = form.den
+            if d != 1:
+                if den % d:
+                    k = d // gcd(den, d)
+                    den, c = den * k, c * k
+                    out = {f: v * k for f, v in out.items()}
+                c //= d
+            for f, v in form.num.items():
+                out[f] = out.get(f, 0) + c * v
+        return Polynomial._own(n.ring, {f: v for f, v in out.items() if v}, n.den * den)
+
 
 def loc_partial(a: LocalizedElement, tau: TauDerivation) -> LocalizedElement:
     """Apply a tau derivation to a localized element by the quotient rule.
 
     For a = n / h^p:  tau(a) = tau(n)/h^p - p * n * tau(h) / h^(p+1).
+
+    A derivation with a table sums its kept forms instead (see
+    ``TauDerivation._from_table``), to the same numerator and power of h.
     """
     loc = a.loc
+    if tau._table is not None and loc is tau.loc:
+        return tau._from_table(a.num.rep, a.hpower)
     d_num = tau.apply_poly(a.num)
     out = LocalizedElement(loc, d_num.num, d_num.hpower + a.hpower)
     if a.hpower:

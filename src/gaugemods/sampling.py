@@ -13,26 +13,36 @@ from fractions import Fraction
 
 from .groebner import Localization, LocalizedElement
 from .linalg import add_term
-from .polyring import Polynomial, PolyRing
+from .polyring import Polynomial, PolyRing, _check_degree
 from .variety import Chart
+
+
+_DENOMINATORS = (1, 1, 2, 3)
 
 
 def rational(rng: random.Random, span: int = 3) -> Fraction:
     num = rng.randint(-span, span)
-    den = rng.choice((1, 1, 2, 3))
+    den = rng.choice(_DENOMINATORS)
     return Fraction(num, den)
 
 
 def polynomial(rng: random.Random, ring: PolyRing, max_degree: int = 2,
                max_terms: int = 3) -> Polynomial:
-    """A sum of up to ``max_terms`` random terms; a repeated monomial adds up."""
-    terms: dict[tuple[int, ...], Fraction] = {}
+    """A sum of up to ``max_terms`` random terms; a repeated monomial adds up.
+
+    Each term is drawn as ``rational`` draws its coefficient, and built in
+    integer form: its packed exponents, and its numerator over 6, the lcm
+    of the denominators drawn."""
+    units, nvars = ring._units, ring.nvars
+    num: dict[int, int] = {}
     for _ in range(rng.randint(1, max_terms)):
-        exps = [0] * ring.nvars
+        e = 0
         for _ in range(rng.randint(0, max_degree)):
-            exps[rng.randrange(ring.nvars)] += 1
-        add_term(terms, tuple(exps), rational(rng))
-    return Polynomial(ring, terms)
+            e += units[rng.randrange(nvars)]
+        c = rng.randint(-3, 3)
+        add_term(num, e, c * (6 // rng.choice(_DENOMINATORS)))
+    _check_degree(ring, num)
+    return Polynomial._own(ring, num, 6)
 
 
 def localized(rng: random.Random, loc: Localization, max_degree: int = 2,

@@ -178,6 +178,7 @@ class Chart:
     def __init__(self, variety: Variety, rows: tuple[int, ...], cols: tuple[int, ...],
                  minor: QuotientElement, h: QuotientElement):
         self.variety, self.rows, self.cols, self.minor, self.h = variety, rows, cols, minor, h
+        self.parameters = tuple(v for i, v in enumerate(variety.ring.variables) if i not in cols)
 
     def _key(self) -> tuple:
         return self.variety, self.rows, self.cols, self.minor, self.h
@@ -193,11 +194,6 @@ class Chart:
     @property
     def name(self) -> str:
         return str(self.h)
-
-    @property
-    def parameters(self) -> tuple[str, ...]:
-        ring = self.variety.ring
-        return tuple(v for i, v in enumerate(ring.variables) if i not in self.cols)
 
     @property
     def localization(self) -> Localization:

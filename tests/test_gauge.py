@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -299,9 +300,17 @@ def reference_act(gm, eta, x):
     return result
 
 
-def _oracle_modules():
+CIRCLE_ALPHAS = (Fraction(0), Fraction(1, 2), Fraction(5, 3))
+PLAIN_ORACLES = ("sphere-z flat", "sphere-z grad", "affine1", "affine2")
+ORACLE_NAMES = sorted(name + twist for name in PLAIN_ORACLES + tuple(
+    f"circle {alpha}" for alpha in CIRCLE_ALPHAS) for twist in ("", " twisted"))
+
+
+@cache
+def oracle_modules():
     """The modules the matrix form is checked on, each also twisted by a
-    closed 1-form: dG for a potential G, or dt/t on the circle."""
+    closed 1-form: dG for a potential G, or dt/t on the circle.  Built on
+    first use, so that collecting the tests builds no variety."""
     sphere = sphere_variety()
     sz = sphere.chart("z")
     x, y = sphere.ring.var("x"), sphere.ring.var("y")
@@ -327,7 +336,7 @@ def _oracle_modules():
                                    for p in gm.chart.parameters])
         modules[name] = gm
         modules[name + " twisted"] = gm.twist(omega)
-    for alpha in (Fraction(0), Fraction(1, 2), Fraction(5, 3)):
+    for alpha in CIRCLE_ALPHAS:
         gm = circle_gauge(alpha).space
         s = gm.chart.variety.ring.var("s")
         modules[f"circle {alpha}"] = gm
@@ -335,16 +344,40 @@ def _oracle_modules():
     return modules
 
 
-ORACLE_MODULES = _oracle_modules()
-
-
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from(sorted(ORACLE_MODULES)), st.integers(0, 2**32))
+@given(st.sampled_from(ORACLE_NAMES), st.integers(0, 2**32))
 def test_act_is_the_term_by_term_action(name, seed):
-    gm = ORACLE_MODULES[name]
+    gm = oracle_modules()[name]
     rng = random.Random(seed)
     eta = sampling.chart_field(rng, gm.chart)
     mu = sampling.chart_field(rng, gm.chart)
     x = gm.element({u: sampling.localized(rng, gm.loc) for u in range(gm.module.dim)})
     assert gm.act(eta, x) == reference_act(gm, eta, x)
     assert gm.act(eta, gm.act(mu, x)) == reference_act(gm, eta, reference_act(gm, mu, x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_NAMES), st.integers(0, 2**32))
+def test_a_kept_connection_acts_as_a_new_one(name, seed):
+    """Fields acted by again and again, in the order of a Lie check and past
+    the number of connections kept, act as the reference does."""
+    gm = oracle_modules()[name]
+    rng = random.Random(seed)
+    fields = [sampling.chart_field(rng, gm.chart) for _ in range(6)]
+    x = gm.element({u: sampling.localized(rng, gm.loc) for u in range(gm.module.dim)})
+    for k in (0, 1, 0, 1, 2, 3, 4, 5, 0, 5, 1):
+        assert gm.act(fields[k], x) == reference_act(gm, fields[k], x)
+
+
+@pytest.mark.parametrize("name", ["sphere-z grad twisted", "affine2", "circle 1/2 twisted"])
+def test_act_by_a_changed_list_is_the_action_of_its_new_coefficients(name):
+    """One list acted by twice, with a coefficient replaced in between: the
+    second action is the new field's, not the kept connection of the old."""
+    gm = oracle_modules()[name]
+    rng = random.Random(7)
+    eta = sampling.chart_field(rng, gm.chart)
+    x = gm.element({u: sampling.localized(rng, gm.loc) for u in range(gm.module.dim)})
+    old = gm.act(eta, x)
+    eta[0] = eta[0] + gm.loc.element(gm.chart.variety.ring.var(gm.chart.parameters[0]))
+    new = gm.act(eta, x)
+    assert new == reference_act(gm, eta, x) and new != old

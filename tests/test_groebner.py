@@ -23,7 +23,6 @@ from gaugemods.groebner import (
 )
 from gaugemods.parser import parse_poly
 from gaugemods.polyring import (
-    DegreeOverflowError,
     Polynomial,
     PolyRing,
     grevlex,
@@ -31,6 +30,7 @@ from gaugemods.polyring import (
     lex,
 )
 
+from term_references import assert_same_division, reference_reduce
 from test_polyring import RING, SPHERE, X, Y, Z, polynomials
 
 TS_RING = PolyRing(("t", "s"))
@@ -246,54 +246,6 @@ def test_ideal_requires_nonzero_generators():
         Ideal(RING, ())
     with pytest.raises(ValueError):
         Ideal(RING, (RING.zero(),))
-
-
-def reference_reduce(p, basis, order):
-    """Reference division: a max() over all pending terms on every step.
-
-    The largest remaining term is divided by the first basis element whose
-    leading monomial divides it; otherwise it moves to the remainder.
-    """
-    key = order.key(p.ring)
-    leads = [max(g.terms, key=key) for g in basis]
-    work = dict(p.terms)
-    remainder = {}
-    while work:
-        e = max(work, key=key)
-        c = work.pop(e)
-        for g, ge in zip(basis, leads):
-            if all(x <= y for x, y in zip(ge, e)):
-                shift = tuple(x - y for x, y in zip(e, ge))
-                factor = c / g.terms[ge]
-                for me, mc in g.terms.items():
-                    if me == ge:
-                        continue
-                    te = tuple(x + y for x, y in zip(me, shift))
-                    s = work.get(te, 0) - factor * mc
-                    if s:
-                        work[te] = s
-                    else:
-                        work.pop(te, None)
-                break
-        else:
-            remainder[e] = c
-    return Polynomial(p.ring, remainder)
-
-
-def assert_same_division(gb, p):
-    """gb.reduce(p) is the reference remainder, term for term and in order,
-    and does not change when p's term dict is changed afterwards."""
-    try:
-        expected = reference_reduce(p, gb.basis, gb.order)
-    except DegreeOverflowError:
-        with pytest.raises(DegreeOverflowError):
-            gb.reduce(p)
-        return
-    q = Polynomial(p.ring, p.terms)
-    got = gb.reduce(q)
-    assert list(got.terms.items()) == list(expected.terms.items())
-    q.terms.clear()
-    assert got == expected
 
 
 ORDERS = [grevlex(RING), grevlex(RING, ("z", "x", "y")), lex(RING), lex(RING, ("y", "z", "x"))]

@@ -2,8 +2,9 @@
 
 A ``Polynomial`` and a ``CircleElement`` store int numerators over one
 positive denominator, and gl_N word sums multiply int matrix entries where
-they are integral.  The references below keep every coefficient as a
-``Fraction`` in a plain dict and do the textbook term-by-term arithmetic.
+they are integral.  The references (here and in ``term_references``) keep every coefficient
+as a ``Fraction`` in a plain dict and do the textbook term-by-term
+arithmetic.
 Each operation must give the reference's terms, in the reference's order,
 in canonical form: no zero numerator, gcd(den, numerators) = 1, only ints
 inside and only Fractions in the ``terms`` view.  The hash of a polynomial
@@ -11,6 +12,7 @@ must equal the hash of the reference terms.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import pytest
@@ -21,90 +23,27 @@ from gaugemods import glrep
 from gaugemods.circle import CircleElement, IndexWindowError, act_e
 from gaugemods.groebner import GroebnerBasis, Ideal, buchberger, s_polynomial
 from gaugemods.parser import parse_poly
-from gaugemods.polyring import Polynomial, PolyRing, leading_term
+from gaugemods.polyring import Polynomial, PolyRing, grevlex, leading_term
 from gaugemods.scenario import central_character_table, run_scenario, validate_scenario
 
 from dense_matrices import dense
+from term_references import (
+    RING,
+    assert_canonical,
+    assert_matches,
+    coefficients,
+    reference_add,
+    reference_monomial,
+    reference_mul,
+    reference_partial,
+    reference_reduce,
+    reference_scale,
+    term_dicts,
+)
 from test_circle import ALPHAS, EXACT_LINALG_CIRCLE
 from test_glrep import reference_evaluate, twisted_natural
-from test_groebner import reference_reduce
 
-RING = PolyRing(("x", "y", "z"))
 R4 = PolyRing(("x", "y", "z", "w"))
-
-
-# -- references: dicts from exponents to nonzero Fractions -----------------------
-
-def reference_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def reference_scale(a, c):
-    return {e: v * c for e, v in a.items()} if c else {}
-
-
-def reference_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            out = reference_add(out, {tuple(x + y for x, y in zip(ea, eb)): ca * cb})
-    return out
-
-
-def reference_partial(a, i):
-    out = {}
-    for e, c in a.items():
-        if e[i]:
-            out = reference_add(out, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]})
-    return out
-
-
-def reference_monomial(e, c):
-    return {tuple(e): Fraction(c)} if c else {}
-
-
-# -- strategies ----------------------------------------------------------------
-
-small = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 6)))
-# the size of the coefficients of katsura-5's reduced basis
-katsura = st.builds(Fraction, st.integers(-2**70, 2**70), st.integers(1, 2**40))
-coefficients = st.one_of(small, small, katsura)
-
-
-@st.composite
-def term_dicts(draw, ring=RING, max_degree=4, max_terms=5):
-    """A term dict with nonzero Fraction values, as the references take it."""
-    terms = {}
-    for _ in range(draw(st.integers(0, max_terms))):
-        exps = [0] * ring.nvars
-        for _ in range(draw(st.integers(0, max_degree))):
-            exps[draw(st.integers(0, ring.nvars - 1))] += 1
-        c = draw(coefficients)
-        if c:
-            terms[tuple(exps)] = c
-        else:
-            terms.pop(tuple(exps), None)
-    return terms
-
-
-def assert_canonical(p):
-    assert type(p.den) is int and p.den >= 1
-    assert all(type(c) is int and c != 0 for c in p.num.values())
-    assert gcd(p.den, *p.num.values()) == 1
-    assert all(type(c) is Fraction for c in p.terms.values())
-
-
-def assert_matches(p, reference):
-    assert_canonical(p)
-    assert list(p.terms.items()) == list(reference.items())
-    assert hash(p) == hash((p.ring.variables, frozenset(reference.items())))
 
 
 # -- arithmetic ------------------------------------------------------------------
@@ -162,7 +101,7 @@ def test_rational_views_of_results(a):
         for e in r.terms:
             assert type(r.coefficient(e)) is Fraction
         if not r.is_zero():
-            assert type(leading_term(r, GB_SPHERE.order)[1]) is Fraction
+            assert type(leading_term(r, grevlex(RING))[1]) is Fraction
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,12 +116,13 @@ def test_results_share_no_numerator_dict(ta, tb, c):
     made = Polynomial(RING, given_terms)
     a, b = Polynomial(RING, ta), Polynomial(RING, tb)
     zero = Polynomial(RING, {})
-    nothing = GroebnerBasis(RING, GB_SPHERE.order, [])
+    sphere = basis("sphere")
+    nothing = GroebnerBasis(RING, sphere.order, [])
     results = [made, a + b, a - b, b - a, a * b, a * c, c * a, a + c, c - a, -a,
                a.partial("x"), a**1, a**2, RING.zero() + a,
-               GB_SPHERE.reduce(a), nothing.reduce(a), GB_SPHERE.reduce(zero),
-               nothing.reduce(zero), GB_SPHERE.reduce_product(a, b),
-               nothing.reduce_product(a, b), GB_SPHERE.reduce_product(zero, a),
+               sphere.reduce(a), nothing.reduce(a), sphere.reduce(zero),
+               nothing.reduce(zero), sphere.reduce_product(a, b),
+               nothing.reduce_product(a, b), sphere.reduce_product(zero, a),
                nothing.reduce_product(a, zero)]
     expected = [(dict(r.num), r.den, dict(r.terms), str(r)) for r in results]
     text, value = str(a), hash(a)
@@ -202,22 +142,30 @@ def _gens(ring, texts):
     return tuple(parse_poly(t, ring) for t in texts)
 
 
-GB_SPHERE = buchberger(Ideal(RING, _gens(RING, ("x^2 + y^2 + z^2 - 1",))))
-GB_TORUS = buchberger(Ideal(R4, _gens(R4, ("x^2 + y^2 - 1", "z^2 + w^2 - 1"))))
-GB_CYCLIC4 = buchberger(Ideal(R4, _gens(R4, (
-    "x + y + z + w", "x*y + y*z + z*w + w*x", "x*y*z + y*z*w + z*w*x + w*x*y",
-    "x*y*z*w - 1"))))
-# fractional reducers: 7 elements, denominators up to 32,076
-GB_KATSURA3 = buchberger(Ideal(R4, _gens(R4, (
-    "x + 2*y + 2*z + 2*w - 1", "x^2 + 2*y^2 + 2*z^2 + 2*w^2 - x",
-    "2*x*y + 2*y*z + 2*z*w - y", "y^2 + 2*x*z + 2*y*w - z"))))
-BASES = [GB_SPHERE, GB_TORUS, GB_CYCLIC4, GB_KATSURA3]
+IDEALS = {
+    "sphere": (RING, ("x^2 + y^2 + z^2 - 1",)),
+    "torus": (R4, ("x^2 + y^2 - 1", "z^2 + w^2 - 1")),
+    "cyclic-4": (R4, ("x + y + z + w", "x*y + y*z + z*w + w*x",
+                      "x*y*z + y*z*w + z*w*x + w*x*y", "x*y*z*w - 1")),
+    # fractional reducers: 7 elements, denominators up to 32,076
+    "katsura-3": (R4, ("x + 2*y + 2*z + 2*w - 1", "x^2 + 2*y^2 + 2*z^2 + 2*w^2 - x",
+                       "2*x*y + 2*y*z + 2*z*w - y", "y^2 + 2*x*z + 2*y*w - z")),
+}
+
+
+@cache
+def basis(name):
+    """The reduced basis of one of ``IDEALS``, built on first use, so that a
+    broken basis computation fails the tests that use it and no other."""
+    ring, texts = IDEALS[name]
+    return buchberger(Ideal(ring, _gens(ring, texts)))
 
 
 def test_bases_are_canonical_and_monic():
+    bases = [basis(name) for name in IDEALS]
     # int tails on sphere, torus and cyclic-4, Fraction tails on katsura-3
-    assert [all(g.den == 1 for g in gb.basis) for gb in BASES] == [True, True, True, False]
-    for gb in BASES:
+    assert [all(g.den == 1 for g in gb.basis) for gb in bases] == [True, True, True, False]
+    for gb in bases:
         for g in gb.basis:
             assert_canonical(g)
             assert leading_term(g, gb.order)[1] == 1
@@ -235,8 +183,9 @@ def test_bases_are_canonical_and_monic():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(BASES), st.data())
-def test_normal_forms_match_the_reference_division(gb, data):
+@given(st.sampled_from(sorted(IDEALS)), st.data())
+def test_normal_forms_match_the_reference_division(name, data):
+    gb = basis(name)
     a = data.draw(term_dicts(gb.ring, max_degree=5, max_terms=6))
     p = Polynomial(gb.ring, a)
     got = gb.reduce(p)
@@ -245,9 +194,10 @@ def test_normal_forms_match_the_reference_division(gb, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(BASES), st.data())
-def test_normal_forms_are_linear(gb, data):
+@given(st.sampled_from(sorted(IDEALS)), st.data())
+def test_normal_forms_are_linear(name, data):
     """Division is linear: it commutes with a scalar and with sums."""
+    gb = basis(name)
     a = Polynomial(gb.ring, data.draw(term_dicts(gb.ring, max_degree=4)))
     b = Polynomial(gb.ring, data.draw(term_dicts(gb.ring, max_degree=4)))
     c = data.draw(coefficients)
@@ -256,7 +206,7 @@ def test_normal_forms_are_linear(gb, data):
 
 
 def test_a_non_groebner_basis_with_fractional_leading_coefficients():
-    gb = GroebnerBasis(RING, GB_SPHERE.order, _gens(RING, ("3*x^2 - 1/2*y", "2*y*z + 5")))
+    gb = GroebnerBasis(RING, grevlex(RING), _gens(RING, ("3*x^2 - 1/2*y", "2*y*z + 5")))
     p = Polynomial(RING, {(4, 1, 1): Fraction(7, 6), (0, 2, 2): Fraction(-1, 4)})
     assert_matches(gb.reduce(p), reference_reduce(p, gb.basis, gb.order).terms)
 

@@ -1,13 +1,12 @@
 """Packed exponents against the tuple-keyed references.
 
 A polynomial keeps each exponent vector as one int (see ``polyring``).
-The references here and in ``test_integer_form`` and ``test_groebner``
-keep exponent tuples and do the textbook arithmetic and division; on rings
-of one to six variables the packed code must give their terms, in their
-order where the operation fixes one, with the same rendering, leading
-term and order.  At the widest cap a ring accepts, a product must still
-report its true degree, and a lex division must never carry one field
-into the next.
+The references here and in ``term_references`` keep exponent tuples and
+do the textbook arithmetic and division; on rings of one to six variables
+the packed code must give their terms, in their order where the
+operation fixes one, with the same rendering, leading term and order.
+At the widest cap a ring accepts, a product must still report its true
+degree, and a lex division must never carry one field into the next.
 """
 
 from fractions import Fraction
@@ -27,12 +26,13 @@ from gaugemods.polyring import (
     render,
 )
 
-from test_groebner import assert_same_division, reference_reduce
-from test_integer_form import (
+from term_references import (
     assert_matches,
+    assert_same_division,
     reference_add,
     reference_mul,
     reference_partial,
+    reference_reduce,
     reference_scale,
     term_dicts,
 )
