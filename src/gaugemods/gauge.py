@@ -100,57 +100,43 @@ class GaugeField:
         results = [CheckResult("axiom1_linearity", True,
                                "matrices over A_(h) are A_(h)-linear by construction")]
 
-        # axiom 2: [B_i, rho(E_pq)] = 0 entrywise
-        ok2, witness2 = True, ""
-        for i, B in enumerate(self.matrices):
-            for (p, q), cols in module.rho.items():
-                for r in range(self.dim):
-                    for c in range(self.dim):
-                        lhs = loc.zero()
-                        for k in range(self.dim):
-                            if k in cols[c]:
-                                lhs = lhs + B[r][k] * cols[c][k]
-                            if r in cols[k]:
-                                lhs = lhs - cols[k][r] * B[k][c]
-                        if not lhs.is_zero():
-                            ok2, witness2 = False, (
-                                f"[B_{i + 1}, rho(E_{p}{q})] entry ({r + 1},{c + 1}) = {lhs}"
-                            )
-                            break
-                    if not ok2:
-                        break
-                if not ok2:
-                    break
-            if not ok2:
-                break
-        results.append(CheckResult("axiom2_glN_commutation", ok2, witness2))
+        dim, params = self.dim, chart.parameters
 
-        # axiom 3: tau_i(B_j) - tau_j(B_i) + [B_i, B_j] = 0
-        ok3, witness3 = True, ""
-        params = chart.parameters
-        frame = chart.frame
-        for i in range(len(params)):
-            for j in range(i + 1, len(params)):
-                Bi, Bj = self.matrices[i], self.matrices[j]
-                for r in range(self.dim):
-                    for c in range(self.dim):
-                        entry = frame.derive(params[i], Bj[r][c]) \
-                            - frame.derive(params[j], Bi[r][c])
-                        for k in range(self.dim):
-                            entry = entry + Bi[r][k] * Bj[k][c] - Bj[r][k] * Bi[k][c]
-                        if not entry.is_zero():
-                            ok3, witness3 = False, (
-                                f"flatness fails for (i,j)=({i + 1},{j + 1})"
-                                f" at entry ({r + 1},{c + 1}): {entry}"
-                            )
-                            break
-                    if not ok3:
-                        break
-                if not ok3:
-                    break
-            if not ok3:
-                break
-        results.append(CheckResult("axiom3_flatness", ok3, witness3))
+        def commutation_failures():
+            # axiom 2: [B_i, rho(E_pq)] = 0 entrywise
+            for i, B in enumerate(self.matrices):
+                for (p, q), cols in module.rho.items():
+                    for r in range(dim):
+                        for c in range(dim):
+                            lhs = loc.zero()
+                            for k in range(dim):
+                                if k in cols[c]:
+                                    lhs = lhs + B[r][k] * cols[c][k]
+                                if r in cols[k]:
+                                    lhs = lhs - cols[k][r] * B[k][c]
+                            if not lhs.is_zero():
+                                yield f"[B_{i + 1}, rho(E_{p}{q})] entry ({r + 1},{c + 1}) = {lhs}"
+
+        def flatness_failures():
+            # axiom 3: tau_i(B_j) - tau_j(B_i) + [B_i, B_j] = 0
+            frame = chart.frame
+            for i in range(len(params)):
+                for j in range(i + 1, len(params)):
+                    Bi, Bj = self.matrices[i], self.matrices[j]
+                    for r in range(dim):
+                        for c in range(dim):
+                            entry = frame.derive(params[i], Bj[r][c]) \
+                                - frame.derive(params[j], Bi[r][c])
+                            for k in range(dim):
+                                entry = entry + Bi[r][k] * Bj[k][c] - Bj[r][k] * Bi[k][c]
+                            if not entry.is_zero():
+                                yield (f"flatness fails for (i,j)=({i + 1},{j + 1})"
+                                       f" at entry ({r + 1},{c + 1}): {entry}")
+
+        for name, failures in (("axiom2_glN_commutation", commutation_failures()),
+                               ("axiom3_flatness", flatness_failures())):
+            witness = next(failures, "")
+            results.append(CheckResult(name, not witness, witness))
         return results
 
 

@@ -5,11 +5,12 @@ The reduced Groebner basis (minimal, monic, tail-reduced, sorted by
 decreasing leading term) is canonical for a fixed ideal and order, so
 quotient-ring equality is decided by comparing normal forms.
 
-A product in A is not divided afresh: normal form is linear, so NF(a*b)
-is summed over the term pairs from the normal forms of single monomials,
-and each basis keeps a table of those it has met, each computed once by
-the same division.  Against the empty basis of affine space a product is
-the plain polynomial product.
+Normal form is Q-linear, and a ``_KeptMap`` keeps a linear map on
+monomials: each image is built once, on first use, and ``_KeptMap.sum``
+is the one loop that sums kept images.  A product in A is not divided
+afresh: each basis keeps the normal forms of the monomials it has met,
+and NF(a*b) is one sum of them over the term pairs.  Against the empty
+basis of affine space a product is the plain polynomial product.
 
 Localized elements are kept lazy: a pair (numerator in A, power of h)
 is never cancelled, and equality is decided by cross-multiplication in
@@ -18,10 +19,10 @@ irreducible varieties this package targets.  Their sums and products
 work on the normal-form representatives, one ``IntForm._sum`` or one
 ``reduce_product`` each.
 
-A tau derivation is linear too, and a chart derivation keeps a table of
-normal forms per monomial in the same way: tau of n / h^p is one integer
-sum of the kept forms of the terms of n, with no product once the
-monomials of n have been met (see ``TauDerivation``).
+A tau derivation is linear too, and a chart derivation keeps three such
+maps: tau of n / h^p is one or two sums of kept images over the terms
+of n, with no product once the monomials of n have been met (see
+``TauDerivation``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import int_form
 from .polyring import (
@@ -85,10 +86,50 @@ Key = Callable[[int], int | tuple]  # on packed exponents (see ``polyring``)
 # other terms with their coefficients scaled by -1/(leading coefficient), each
 # an int where that is exact and a Fraction otherwise.
 Reducer = tuple[int, tuple[tuple[int, int | Fraction], ...]]
-# The normal form of a monomial: None for a standard monomial, else its terms
-# as int numerators over one denominator.
-MonomialForm = tuple[tuple[tuple[int, int], ...], int] | None
-_MISSING = object()  # a monomial not yet in a basis's table of forms
+
+
+_MISSING = object()  # a monomial whose image is not kept yet
+
+
+class _KeptMap:
+    """A Q-linear map L given on packed monomials: ``images`` keeps the
+    image of each x^e met, built by ``build(e)`` on first use, with None
+    for x^e itself."""
+
+    __slots__ = ("ring", "build", "images")
+
+    def __init__(self, ring: PolyRing, build: Callable[[int], Polynomial | None]):
+        self.ring, self.build, self.images = ring, build, {}
+
+    def sum(self, a: Polynomial, b: Polynomial) -> Polynomial:
+        """L(a b), built without a b: the sum over the term pairs of
+        c_a c_b L(x^(e_a + e_b)), with a in the outer loop, kept as int
+        numerators over the lcm of the denominators of the images met."""
+        images, build = self.images, self.build
+        out: dict[int, int] = {}
+        den = 1
+        b_terms = b.num.items()
+        for ea, ca in a.num.items():
+            for eb, cb in b_terms:
+                e = ea + eb
+                form = images.get(e, _MISSING)
+                if form is _MISSING:
+                    form = images[e] = build(e)
+                c = ca * cb * den
+                if form is None:
+                    out[e] = out.get(e, 0) + c
+                    continue
+                d = form.den
+                if d != 1:
+                    if den % d:
+                        k = d // gcd(den, d)
+                        den, c = den * k, c * k
+                        out = {f: v * k for f, v in out.items()}
+                    c //= d
+                for f, v in form.num.items():
+                    out[f] = out.get(f, 0) + c * v
+        return Polynomial._own(self.ring, {f: v for f, v in out.items() if v},
+                               a.den * b.den * den)
 
 
 def _monic(p: Polynomial, dkey: Key) -> Polynomial:
@@ -188,7 +229,7 @@ class GroebnerBasis:
         self.generators = tuple(generators)
         self._dkey = order.packed_descending_key(ring)
         self._reducers = tuple(_reducer(g, self._dkey) for g in self.basis)
-        self._monomial_forms: dict[int, MonomialForm] = {}
+        self._forms = _KeptMap(ring, self._normal_form)
 
     def reduce(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
@@ -197,12 +238,13 @@ class GroebnerBasis:
 
     def reduce_product(self, a: Polynomial, b: Polynomial) -> Polynomial:
         """``reduce(a * b)``, built without a * b.  Normal form is linear, so
-        each term pair adds c_a c_b NF(x^(e_a + e_b)); the normal form of
-        each monomial is computed once, by division, and kept.  The operand
-        with fewer terms runs in the outer loop.  The sums are int numerators
-        over the lcm of the denominators of the forms met.  A one-term
-        operand shifts the other, and a shift whose monomials are all known
-        to be standard is its own normal form.
+        the product is one sum of the kept normal forms of the monomials
+        x^(e_a + e_b), each computed once by division, with the operand of
+        fewer terms in the outer loop.  A one-term operand shifts the
+        other, and a shift whose monomials are all known to be standard is
+        its own normal form, within the cap as they are.  Q[x] is a domain,
+        so a * b passes the degree cap exactly when deg a + deg b does, and
+        then the sum raises before it starts, as a * b would.
 
         Under lex, the normal form of one monomial can pass the degree cap
         where that of the whole product does not, so lex divides a * b.
@@ -217,10 +259,9 @@ class GroebnerBasis:
         a._check_ring(b)
         if len(a.num) > len(b.num):
             a, b = b, a
-        forms = self._monomial_forms
         if len(a.num) == 1:
             [(ea, ca)] = a.num.items()
-            shifted = {}
+            forms, shifted = self._forms.images, {}
             for eb, cb in b.num.items():
                 e = ea + eb
                 if forms.get(e, _MISSING) is not None:
@@ -228,35 +269,14 @@ class GroebnerBasis:
                 shifted[e] = ca * cb
             else:
                 return Polynomial._own(ring, shifted, a.den * b.den)
-        out: dict[int, int] = {}
-        den, dshift = 1, ring._dshift
-        for ea, ca in a.num.items():
-            for eb, cb in b.num.items():
-                e = ea + eb
-                form = forms.get(e, _MISSING)
-                if form is _MISSING:
-                    if e >> dshift > ring.degree_cap:
-                        # where a * b raises: Q[x] is a domain, so deg ab = deg a + deg b
-                        _check_total_degree(ring, (max(a.num) >> dshift) + (max(b.num) >> dshift))
-                    form = forms[e] = self._monomial_form(e)
-                c = ca * cb * den
-                if form is None:
-                    out[e] = out.get(e, 0) + c
-                    continue
-                terms, d = form
-                if d != 1:
-                    if den % d:
-                        k = d // gcd(den, d)
-                        den, c = den * k, c * k
-                        out = {f: v * k for f, v in out.items()}
-                    c //= d
-                for f, v in terms:
-                    out[f] = out.get(f, 0) + c * v
-        return Polynomial._own(ring, {f: v for f, v in out.items() if v}, a.den * b.den * den)
+        dshift = ring._dshift
+        _check_total_degree(ring, (max(a.num, default=0) >> dshift)
+                            + (max(b.num, default=0) >> dshift))
+        return self._forms.sum(a, b)
 
-    def _monomial_form(self, e: int) -> MonomialForm:
+    def _normal_form(self, e: int) -> Polynomial | None:
         nf = _reduce(Polynomial._own(self.ring, {e: 1}), self._reducers, self._dkey)
-        return None if e in nf.num else (tuple(nf.num.items()), nf.den)
+        return None if e in nf.num else nf
 
     def contains(self, p: Polynomial) -> bool:
         return self.reduce(p).is_zero()
@@ -650,13 +670,13 @@ class TauDerivation:
 
     tau is linear, and its value on a monomial never changes.  So where
     every f_ij is some c_ij / h, as in every frame ``solve_tau`` builds,
-    the derivation keeps a table of three normal forms per monomial x^e
-    it has met, each built once from products in A:
+    the derivation keeps three linear maps on monomials (``_KeptMap``),
+    each image built once from products in A on first use:
 
-    - ``A``: the numerator of tau(x^e) over h, that is
+    - the numerator of tau(x^e) over h, that is
       NF(h d(x^e)/dx_i + sum_j c_ij d(x^e)/dx_j);
-    - ``B``: NF(h A), for a sum over h^2;
-    - ``C``: NF(x^e t), where tau(h) = t / h^k.
+    - h times it, for a sum over h^2;
+    - NF(x^e t), where tau(h) = t / h^k.
 
     ``loc_partial`` then sums them over the terms of a numerator (see
     ``_from_table``).  A derivation with any other coefficient (over h^0,
@@ -666,10 +686,22 @@ class TauDerivation:
     def __init__(self, loc: Localization, var: str,
                  corrections: Mapping[str, LocalizedElement]):
         self.loc, self.var, self.corrections = loc, var, corrections
-        tabled = all(type(f) is LocalizedElement and f.loc is loc and f.hpower == 1
-                     for f in corrections.values())
-        self._table: dict[int, list[Polynomial | None]] | None = {} if tabled else None
         ring = loc.qring.ring
+        self._table: tuple[_KeptMap, _KeptMap, _KeptMap] | None = None
+        if all(type(f) is LocalizedElement and f.loc is loc and f.hpower == 1
+               for f in corrections.values()):
+            gb, h, one = loc.qring.gb, loc.h.rep, ring.one()
+            monomial = lambda e: Polynomial._own(ring, {e: 1})
+
+            def numerator(e: int) -> Polynomial:  # of tau(x^e) over h
+                t = self.apply_poly(QuotientElement(loc.qring, monomial(e)))
+                return t.num.rep if t.hpower or loc.h_is_one else gb.reduce_product(t.num.rep, h)
+
+            over_h = _KeptMap(ring, numerator)
+            times_h = over_h if loc.h_is_one else _KeptMap(
+                ring, lambda e: gb.reduce_product(over_h.sum(one, monomial(e)), h))
+            times_t = _KeptMap(ring, lambda e: gb.reduce_product(monomial(e), self.tau_h.num.rep))
+            self._table = (over_h, times_h, times_t)
         # the exponent fields of the corrected variables: a monomial outside
         # them has d/dx_j = 0 for every j
         self._corrected = sum(ring._mask << ring._shifts[ring.index(name)]
@@ -711,69 +743,24 @@ class TauDerivation:
             out = derived[self] = loc_partial(a, self)
         return out
 
-    def _entry(self, e: int, part: int) -> Polynomial:
-        """Part 0, 1 or 2 (A, B or C of the class docstring) of the table
-        entry of x^e, built on first use."""
-        entry = self._table.get(e)
-        if entry is None:
-            entry = self._table[e] = [None, None, None]
-        form = entry[part]
-        if form is None:
-            loc = self.loc
-            gb = loc.qring.gb
-            monomial = Polynomial._own(gb.ring, {e: 1})
-            if part == 0:
-                t = self.apply_poly(QuotientElement(loc.qring, monomial))
-                form = t.num.rep
-                if not t.hpower and not loc.h_is_one:
-                    form = gb.reduce_product(form, loc.h.rep)
-            elif part == 1:
-                form = self._entry(e, 0)
-                if not loc.h_is_one:
-                    form = gb.reduce_product(form, loc.h.rep)
-            else:
-                form = gb.reduce_product(monomial, self.tau_h.num.rep)
-            entry[part] = form
-        return form
-
     def _from_table(self, n: Polynomial, p: int) -> LocalizedElement:
         """tau(n / h^p) from the table.  With tau(h) = t / h^k, the quotient
-        rule leaves (sum B - p sum C) / h^(p+2) where k = 1, and
-        (sum A - p sum C) / h^(p+1) where k = 0, each sum over the terms of
-        n.  Where p = 0 or n t = 0, it leaves tau(n) / h^p: tau(n) is
-        sum A / h if n has a term in a corrected variable, and d n/dx_i
-        otherwise."""
+        rule leaves (sum h A - p sum x^e t) / h^(p+2) where k = 1, and
+        (sum A - p sum x^e t) / h^(p+1) where k = 0, with A the numerator
+        of tau(x^e) over h and each sum over the terms of n.  Where p = 0
+        or n t = 0, it leaves tau(n) / h^p: tau(n) is sum A / h if n has a
+        term in a corrected variable, and d n/dx_i otherwise."""
         loc = self.loc
-        t = self._combination(n, 2) if p and self.tau_h else None
+        over_h, times_h, times_t = self._table
+        one = loc.qring.one().rep  # h is not 0, so I is not the unit ideal
+        t = times_t.sum(one, n) if p and self.tau_h else None
         if t is None or not t.num:
             if any(e & self._corrected for e in n.num):
-                return LocalizedElement(loc, QuotientElement(loc.qring, self._combination(n, 0)),
-                                        p + 1)
+                return LocalizedElement(loc, QuotientElement(loc.qring, over_h.sum(one, n)), p + 1)
             return LocalizedElement(loc, QuotientElement(loc.qring, n.partial(self.var)), p)
         k = self.tau_h.hpower
-        # part k is A where k = 0 and B where k = 1
-        num = self._combination(n, k)._sum(t, -p)
+        num = (times_h if k else over_h).sum(one, n)._sum(t, -p)
         return LocalizedElement(loc, QuotientElement(loc.qring, num), p + 1 + k)
-
-    def _combination(self, n: Polynomial, part: int) -> Polynomial:
-        """The sum over the terms c x^e of n of c times part ``part`` of the
-        entry of x^e, in int numerators over one denominator, as in
-        ``GroebnerBasis.reduce_product``."""
-        out: dict[int, int] = {}
-        den = 1
-        for e, c in n.num.items():
-            form = self._entry(e, part)
-            c *= den
-            d = form.den
-            if d != 1:
-                if den % d:
-                    k = d // gcd(den, d)
-                    den, c = den * k, c * k
-                    out = {f: v * k for f, v in out.items()}
-                c //= d
-            for f, v in form.num.items():
-                out[f] = out.get(f, 0) + c * v
-        return Polynomial._own(n.ring, {f: v for f, v in out.items() if v}, n.den * den)
 
 
 def loc_partial(a: LocalizedElement, tau: TauDerivation) -> LocalizedElement:
@@ -781,11 +768,14 @@ def loc_partial(a: LocalizedElement, tau: TauDerivation) -> LocalizedElement:
 
     For a = n / h^p:  tau(a) = tau(n)/h^p - p * n * tau(h) / h^(p+1).
 
-    A derivation with a table sums its kept forms instead (see
+    A derivation with a table sums its kept images instead (see
     ``TauDerivation._from_table``), to the same numerator and power of h.
+    An element of another localization than the derivation's is rejected.
     """
     loc = a.loc
-    if tau._table is not None and loc is tau.loc:
+    if loc is not tau.loc and loc != tau.loc:
+        raise ValueError("element of a different localization")
+    if tau._table is not None:
         return tau._from_table(a.num.rep, a.hpower)
     d_num = tau.apply_poly(a.num)
     out = LocalizedElement(loc, d_num.num, d_num.hpower + a.hpower)

@@ -18,6 +18,7 @@ from .variety import Chart
 
 
 _DENOMINATORS = (1, 1, 2, 3)
+_LOCALIZED_DEGREE, _LOCALIZED_TERMS, _LOCALIZED_HPOWER = 2, 2, 1
 
 
 def rational(rng: random.Random, span: int = 3) -> Fraction:
@@ -45,15 +46,12 @@ def polynomial(rng: random.Random, ring: PolyRing, max_degree: int = 2,
     return Polynomial._own(ring, num, 6)
 
 
-def localized(rng: random.Random, loc: Localization, max_degree: int = 2,
-              max_terms: int = 2, max_hpower: int = 1) -> LocalizedElement:
-    p = polynomial(rng, loc.qring.ring, max_degree, max_terms)
-    return loc.element(p, rng.randint(0, max_hpower))
+def localized(rng: random.Random, loc: Localization) -> LocalizedElement:
+    p = polynomial(rng, loc.qring.ring, _LOCALIZED_DEGREE, _LOCALIZED_TERMS)
+    return loc.element(p, rng.randint(0, _LOCALIZED_HPOWER))
 
 
-def chart_field(rng: random.Random, chart: Chart, max_degree: int = 2,
-                max_terms: int = 2, max_hpower: int = 1) -> list[LocalizedElement]:
+def chart_field(rng: random.Random, chart: Chart) -> list[LocalizedElement]:
     """Random coefficients of a derivation of A_(h) in chart form."""
     loc = chart.localization
-    return [localized(rng, loc, max_degree, max_terms, max_hpower)
-            for _ in chart.parameters]
+    return [localized(rng, loc) for _ in chart.parameters]

@@ -351,11 +351,14 @@ def _gauge_validate(c: SimpleNamespace) -> tuple[str, Any]:
     return "pass", [a.name for a in c.axioms]
 
 
-def _random_gauge_element(rng: random.Random, gm: GaugeModule, terms: int = 2):
+_SAMPLED_TERMS = 2  # draws per sampled gauge element or form
+
+
+def _random_gauge_element(rng: random.Random, gm: GaugeModule):
     loc = gm.chart.localization
     return gm.element({
         rng.randrange(gm.module.dim): sampling.localized(rng, loc)
-        for _ in range(terms)
+        for _ in range(_SAMPLED_TERMS)
     })
 
 
@@ -420,12 +423,12 @@ def _setup_derham(scn: dict) -> SimpleNamespace:
                            zero_b=all(b.is_zero() for b in B))
 
 
-def _random_form(rng: random.Random, chart: Chart, degree: int, terms: int = 2):
+def _random_form(rng: random.Random, chart: Chart, degree: int):
     n = len(chart.parameters)
     loc = chart.localization
     subsets = list(itertools.combinations(range(n), degree))
     return derham_mod.FormElement(chart, degree, {
-        rng.choice(subsets): sampling.localized(rng, loc) for _ in range(terms)
+        rng.choice(subsets): sampling.localized(rng, loc) for _ in range(_SAMPLED_TERMS)
     })
 
 

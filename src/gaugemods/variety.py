@@ -13,6 +13,7 @@ minor 1 and every variable a chart parameter.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .groebner import (
@@ -195,21 +196,13 @@ class Chart:
     def name(self) -> str:
         return str(self.h)
 
-    @property
+    @cached_property
     def localization(self) -> Localization:
-        loc = getattr(self, "_loc", None)
-        if loc is None:
-            loc = Localization(self.variety.qring, self.h)
-            object.__setattr__(self, "_loc", loc)
-        return loc
+        return Localization(self.variety.qring, self.h)
 
-    @property
+    @cached_property
     def frame(self) -> "TangentFrame":
-        frame = getattr(self, "_frame", None)
-        if frame is None:
-            frame = solve_tau(self.variety, self)
-            object.__setattr__(self, "_frame", frame)
-        return frame
+        return solve_tau(self.variety, self)
 
     def __repr__(self) -> str:
         return f"Chart(h={self.name}, parameters={self.parameters})"

@@ -437,6 +437,32 @@ def test_a_derivative_is_remembered_for_its_own_derivation_only():
     assert d_x(b).is_zero()
 
 
+def test_an_element_of_an_equal_localization_is_derived_from_the_table(count_calls):
+    chart = named_chart("sphere-z")
+    tau_x = sphere_variety().chart("z").frame.taus["x"]
+    assert tau_x.loc == chart.localization and tau_x.loc is not chart.localization
+    x, y = (chart.variety.ring.var(v) for v in "xy")
+    a = chart.localization.element(x * y - 2, 2)
+    from_table = count_calls(groebner.TauDerivation, "_from_table")
+    got = loc_partial(a, tau_x)
+    assert from_table.calls == 1
+    assert form(got) == form(reference_loc_partial(a, tau_x))
+
+
+def test_a_derivation_rejects_an_element_of_another_chart():
+    """Chart z's tau_x does not apply to chart y's elements: the quotient
+    rule with the h of one chart and the tau(h) of the other gives x/y^3
+    for 1/y, whose tau_x is 0, and -x/y for z, not -x/z."""
+    sphere = variety("sphere")
+    tau_x = sphere.chart("z").frame.taus["x"]
+    yloc = sphere.chart("y").localization
+    for a in (yloc.element(1, 1), yloc.element(sphere.ring.var("z"))):
+        with pytest.raises(ValueError, match="different localization"):
+            loc_partial(a, tau_x)
+        with pytest.raises(ValueError, match="different localization"):
+            tau_x(a)
+
+
 # -- the tau table ----------------------------------------------------------------
 
 ORACLE_VARIETIES = ("sphere", "torus", "SL2", "cubic", "parabola")
