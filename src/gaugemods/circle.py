@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 from . import gauge as gauge_mod
 from .glrep import GlModule, UEAElement
 from .groebner import LocalizedElement
-from .linalg import IntForm, add_term, int_form, rank
+from .linalg import IntForm, add_term, echelon, int_form
 from .variety import Chart, Variety, circle_variety
 
 Key = tuple[str, int]  # ("v" | "u", index)
@@ -256,14 +256,11 @@ def basis_leading_terms(depth: int, window: int = DEFAULT_WINDOW) -> BasisReport
     expected_lowest = tuple(_label(("u", -n)) for n in range(1, depth + 1))
     labels_match = leading == expected_leading and lowest == expected_lowest
 
+    # each vector's int numerators span its line, so they have its rank
     family = vectors + down
-    coords = sorted({key for v in family for key in v.terms})
-    col = {key: i for i, key in enumerate(coords)}
-    matrix = [[Fraction(0)] * len(coords) for _ in family]
-    for r, v in enumerate(family):
-        for key, c in v.terms.items():
-            matrix[r][col[key]] = c
-    independent = rank(matrix) == len(family)
+    col: dict[Key, int] = {}
+    rows = [{col.setdefault(key, len(col)): c for key, c in v.num.items()} for v in family]
+    independent = len(echelon(rows, len(col))[0]) == len(family)
     return BasisReport(depth, leading, lowest, labels_match, independent)
 
 

@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .gauge import CheckResult
 from .glrep import BudgetExceededError
 from .groebner import LocalizedElement
-from .linalg import Combination, add_term, solve as _solve_exact
+from .linalg import Combination, add_term, solve_sparse as _solve_exact
 from .polyring import Polynomial, PolyRing
 from .variety import Chart
 
@@ -191,11 +191,12 @@ class ObstructionResult(NamedTuple):
         return self.status == "FEASIBLE"
 
 
-# Largest N * C(N+D, N) * C(N+D+1, N) that gaussian_obstruction accepts.  On
-# one core of a shared two-core Xeon host the systems just below it take at
-# most 2.0 s and 34 MB peak RSS: (N, D) = (1, 1411), 1,995,156 entries,
-# 2.0 s; (2, 42), 0.6 s; (5, 6), 0.4 s.  (4, 6), the largest bundled-size
-# system, has 277,200.
+# Largest N * C(N+D, N) * C(N+D+1, N), the entries of the system written
+# densely, that gaussian_obstruction accepts.  On one core of a shared
+# two-core Xeon host the systems just below it, solved at scale -2 and 0 in
+# a fresh process, take at most 1.2 s and 18.4 MB peak RSS: (N, D) =
+# (1, 1411), 1,995,156 entries, 1.2 s; (2, 42), 0.09 s; (5, 6), 0.05 s.
+# (4, 6), the largest bundled-size system, has 277,200 and takes 10 ms.
 _OBSTRUCTION_ENTRY_BUDGET = 2_000_000
 
 
@@ -220,41 +221,29 @@ def gaussian_obstruction(N: int, D: int, scale: Fraction | int = Fraction(-2)) -
     monomials = [e for deg in range(D + 1)
                  for e in _exponents_of_degree(N, deg)]
     unknowns = [(i, e) for i in range(N) for e in monomials]
-    col = {u: c for c, u in enumerate(unknowns)}
+    ncols = len(unknowns)
 
-    one = (0,) * N
-    # the target monomial 1 keeps its equation even when no unknown reaches it
-    # (D = 0); the zeros are ints, which ``solve`` drops faster than Fraction(0)
-    rows: dict[tuple[int, ...], list[Fraction | int]] = {one: [0] * len(unknowns)}
+    # one int row per equation monomial: with scale = a/b every equation is
+    # multiplied by b, and the target 1 is the right-hand side b in column
+    # ncols, so its equation stays even when no unknown reaches it (D = 0).
+    # Each unknown meets a row at most once, so no entry cancels.
+    a, b = scale.numerator, scale.denominator
+    rows: dict[tuple[int, ...], dict[int, int]] = {(0,) * N: {ncols: b}}
+    for c, (i, e) in enumerate(unknowns):
+        if e[i] > 0:  # d/dx_i of x^e
+            rows.setdefault(e[:i] + (e[i] - 1,) + e[i + 1:], {})[c] = e[i] * b
+        if a:  # scale * x_i * x^e
+            rows.setdefault(e[:i] + (e[i] + 1,) + e[i + 1:], {})[c] = a
 
-    def row_of(e: tuple[int, ...]) -> list[Fraction | int]:
-        if e not in rows:
-            rows[e] = [0] * len(unknowns)
-        return rows[e]
-
-    for i in range(N):
-        for e in monomials:
-            c = col[(i, e)]
-            # d/dx_i of x^e
-            if e[i] > 0:
-                de = e[:i] + (e[i] - 1,) + e[i + 1:]
-                row_of(de)[c] += e[i]
-            # scale * x_i * x^e
-            if scale:
-                se = e[:i] + (e[i] + 1,) + e[i + 1:]
-                row_of(se)[c] += scale
-
-    eqs = sorted(rows)
-    matrix = [rows[e] for e in eqs]
-    rhs = [Fraction(1 if e == one else 0) for e in eqs]
-    solution = _solve_exact(matrix, rhs)
+    solution = _solve_exact([rows[e] for e in sorted(rows)], ncols)
     if solution is None:
         return ObstructionResult("INFEASIBLE_UP_TO_D", N, D, scale, None)
 
-    polys = []
-    for i in range(N):
-        terms = {e: solution[col[(i, e)]] for e in monomials if solution[col[(i, e)]]}
-        polys.append(Polynomial(ring, terms))
+    terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(N)]
+    for c, x in solution.items():
+        i, e = unknowns[c]
+        terms[i][e] = x
+    polys = [Polynomial(ring, t) for t in terms]
     total = ring.zero()
     for i, f in enumerate(polys):
         total = total + f.partial(ring.variables[i]) + scale * ring.var(ring.variables[i]) * f

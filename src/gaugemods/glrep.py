@@ -131,9 +131,12 @@ class GlModule:
         self._validate()
 
     def _validate(self) -> None:
-        rng = range(1, self.N + 1)
         rho, one = self.rho, tuple({i: 1} for i in range(self.dim))
-        for i, j, k, l in itertools.product(rng, repeat=4):
+        # R(k,l,i,j) = -R(i,j,k,l) and R(i,j,i,j) = 0, so only (i,j) < (k,l)
+        # is checked, in (i,j,k,l) order: a failing (i,j) > (k,l) has its
+        # mirror earlier in that order
+        pairs = itertools.product(range(1, self.N + 1), repeat=2)
+        for (i, j), (k, l) in itertools.combinations(pairs, 2):
             # ab - ba - d_jk rho(E_il) + d_li rho(E_kj) must vanish; the
             # columns are the rows of the transposes, so ab is b^T a^T
             a, b = rho[(i, j)], rho[(k, l)]

@@ -8,9 +8,13 @@ numerators over ``den``, one positive common denominator with
 gcd(den, every numerator) = 1, and den = 1 for zero.  That form is unique,
 so equal values have equal ``num`` and ``den``.  ``det`` never divides, so
 it serves any ring whose elements support ``+``, ``*`` and ``is_zero``.
-``rank`` and ``solve`` take dense matrices, leave them unchanged, and
-eliminate on sparse rows with the Gauss-Jordan ``echelon``, so their cost
-follows the nonzero entries.
+``echelon`` is Gauss-Jordan elimination on sparse rows without fractions
+(integer-preserving, as in Bareiss 1968, but taking each row's content out
+instead of dividing by the previous pivot): rows are int numerators, and
+only the final pivot rows, scaled to lead 1, hold ``Fraction``s.  Its cost
+follows the nonzero entries.  ``solve_sparse`` takes sparse rows with the
+right-hand side past the unknowns; ``rank`` and ``solve`` take dense
+matrices and leave them unchanged.
 """
 
 from __future__ import annotations
@@ -168,46 +172,61 @@ def det(ring: PolyRing, matrix: list[list[Polynomial]]) -> Polynomial:
 Row = dict[int, Fraction]  # a sparse row: column -> nonzero entry
 
 
-def _subtract(row: Row, f: Fraction, other: Row) -> None:
-    """row -= f * other, dropping the entries that cancel."""
-    for k, x in other.items():
-        y = row.get(k)
+def _eliminate(row: dict[int, int], c: int, pivot: dict[int, int]) -> dict[int, int]:
+    """The int row a * row - b * pivot, zero at column c, over its content,
+    where a / b = pivot[c] / row[c] in lowest terms with a > 0."""
+    p, r = pivot[c], row[c]
+    g = gcd(p, r)
+    a, b = p // g, r // g
+    if a < 0:
+        a, b = -a, -b
+    out = {k: x * a for k, x in row.items()} if a != 1 else row
+    for k, x in pivot.items():
+        y = out.get(k)
         if y is None:
-            row[k] = -f * x
+            out[k] = -b * x
         else:
-            y -= f * x
+            y -= b * x
             if y:
-                row[k] = y
+                out[k] = y
             else:
-                del row[k]
+                del out[k]
+    g = gcd(*out.values())
+    return {k: x // g for k, x in out.items()} if g > 1 else out
 
 
-def echelon(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[Row]]:
-    """Gauss-Jordan elimination on sparse rows (column -> nonzero entry),
-    pivoting only in the first ``ncols`` columns; the rows may be changed.
+def echelon(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[dict[int, int]]]:
+    """Gauss-Jordan elimination on sparse rows (column -> nonzero int or
+    ``Fraction``), pivoting only in the first ``ncols`` columns.
 
-    Each row is reduced by the pivot rows found so far; if it keeps an
-    entry below ``ncols``, its first column becomes a new pivot, and the
-    row, scaled to 1 there, is eliminated from the earlier pivot rows.
-    Returns the reduced row echelon form as a map from pivot column to
-    row, and the other rows, which are zero in the first ``ncols`` columns.
+    Each row enters as its integer numerators, which span the same line,
+    and is reduced by the pivot rows found so far without fractions (see
+    ``_eliminate``); if it keeps an entry below ``ncols``, its first column
+    becomes a new pivot and is eliminated from the earlier pivot rows in
+    the same way.  Returns the reduced row echelon form as a map from pivot
+    column to row, each scaled once at the end to lead 1 with ``Fraction``
+    entries, and the other rows, reduced int rows that are zero in the
+    first ``ncols`` columns.  Past ``ncols`` the pivot rows depend on the
+    order of the rows unless all the other rows are zero.
     """
-    pivots: dict[int, Row] = {}
-    rest: list[Row] = []
+    pivots: dict[int, dict[int, int]] = {}
+    rest: list[dict[int, int]] = []
     for row in rows:
+        row = int_form(row)[0]
         # a pivot row is zero in every other pivot column, so one pass suffices
         for c in [c for c in row if c in pivots]:
-            _subtract(row, row[c], pivots[c])
+            row = _eliminate(row, c, pivots[c])
         lead = min((c for c in row if c < ncols), default=None)
         if lead is None:
             rest.append(row)
             continue
-        pv = Fraction(row[lead])  # an int pivot must not make floats
-        row = {k: x / pv for k, x in row.items()}
-        for other in pivots.values():
+        for c, other in pivots.items():
             if lead in other:
-                _subtract(other, other[lead], row)
+                pivots[c] = _eliminate(other, lead, row)
         pivots[lead] = row
+    for c, row in pivots.items():
+        lead = row[c]
+        pivots[c] = {k: Fraction(x, lead) for k, x in row.items()}
     return pivots, rest
 
 
@@ -219,11 +238,22 @@ def rank(matrix: list[list[Fraction]]) -> int:
     return len(echelon(map(sparse_row, matrix), len(matrix[0]) if matrix else 0)[0])
 
 
-def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """A solution of matrix * x = rhs with free unknowns zero; None if inconsistent.
+def solve_sparse(rows: Iterable[Row], ncols: int) -> dict[int, Fraction] | None:
+    """A solution of the sparse system whose rows hold their right-hand
+    side in column ``ncols``, as unknown -> nonzero value with free unknowns
+    zero; None if inconsistent.
 
     The reduced row echelon form is unique, so the solution does not
     depend on the order in which the rows are eliminated."""
+    pivots, rest = echelon(rows, ncols)
+    if any(rest):
+        return None
+    return {c: row[ncols] for c, row in pivots.items() if ncols in row}
+
+
+def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """``solve_sparse`` on a dense matrix and right-hand side, which stay
+    unchanged; the solution is a dense list."""
     ncols = len(matrix[0]) if matrix else 0
     rows = []
     for row, b in zip(matrix, rhs):
@@ -231,10 +261,10 @@ def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] |
         if b:
             sparse[ncols] = b
         rows.append(sparse)
-    pivots, rest = echelon(rows, ncols)
-    if any(rest):
+    values = solve_sparse(rows, ncols)
+    if values is None:
         return None
     solution = [Fraction(0)] * ncols
-    for c, row in pivots.items():
-        solution[c] = row.get(ncols, Fraction(0))
+    for c, x in values.items():
+        solution[c] = x
     return solution

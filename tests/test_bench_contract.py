@@ -62,3 +62,10 @@ def test_tracer_sees_every_action_and_the_products_inside_it():
     proc = _run_traced("affine1_gauge.json", "gauge.act.calls", 84,
                        "groebner.loc_mul.calls", 1)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_counts_the_obstruction_equations_it_solves():
+    # derham_affine2 (N = 2, max degree 4) solves a 21-equation system and a
+    # 10-equation control through derham._solve_exact, the name it wraps
+    proc = _run_traced("derham_affine2.json", "derham.obstruction.equations", 31)
+    assert proc.returncode == 0, proc.stderr

@@ -2,10 +2,12 @@
 
 import itertools
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 
+from gaugemods import derham as derham_mod
 from gaugemods import sampling
 from gaugemods.derham import (
     FormElement,
@@ -23,6 +25,7 @@ from gaugemods.glrep import exterior_power
 from gaugemods.polyring import Polynomial, PolyRing, render
 
 from dense_matrices import dense
+from test_linalg import reference_solve
 
 
 def _zero_b(chart):
@@ -263,8 +266,8 @@ class TestObstruction:
         assert gaussian_obstruction(4, 6, 0).status == "FEASIBLE"
 
     def test_full_size_control_solution(self):
-        # the rows hold int zeros; the reduced echelon form, and so the
-        # solution with free unknowns zero, is the one Fraction zeros gave
+        # the reduced echelon form, and so the solution with free unknowns
+        # zero, is unique, whatever arithmetic the elimination does
         (f1, f2, f3, f4) = gaussian_obstruction(4, 6, 0).solution
         assert f1 == f1.ring.var("x1") and f2.is_zero() and f3.is_zero() and f4.is_zero()
 
@@ -277,11 +280,63 @@ class TestObstruction:
         # no unknown reaches the target 1 at D = 0; its equation must still be there
         assert gaussian_obstruction(*args).status == "INFEASIBLE_UP_TO_D"
 
+    @pytest.mark.parametrize("scale", [-2, 0, Fraction(1, 3), Fraction(-5, 7)])
+    @pytest.mark.parametrize("N, D", [(1, 0), (1, 3), (2, 2), (2, 3), (3, 2)])
+    def test_equals_the_dense_reference_solve(self, N, D, scale):
+        solution = _dense_reference_obstruction(N, D, Fraction(scale))
+        result = gaussian_obstruction(N, D, scale)
+        assert result.feasible == (solution is not None)
+        if solution is not None:
+            assert [f.terms for f in result.solution] == solution
+
+    def test_solver_gets_sparse_int_rows(self, monkeypatch):
+        seen, solve = [], derham_mod._solve_exact
+
+        def record(rows, ncols):
+            seen.append((rows, ncols))
+            return solve(rows, ncols)
+
+        monkeypatch.setattr(derham_mod, "_solve_exact", record)
+        assert not gaussian_obstruction(1, 2, Fraction(-5, 7)).feasible
+        [(rows, ncols)] = seen
+        assert ncols == 3 and all(isinstance(row, Mapping) for row in rows)
+        # f = c0 + c1 x + c2 x^2 in f' - 5/7 x f = 1, times 7, one row per
+        # power of x: 7 c1 = 7, 14 c2 - 5 c0 = 0, -5 c1 = 0, -5 c2 = 0
+        assert rows == [{1: 7, 3: 7}, {0: -5, 2: 14}, {1: -5}, {2: -5}]
+        assert all(type(x) is int for row in rows for x in row.values())
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             gaussian_obstruction(0, 3)
         with pytest.raises(ValueError):
             gaussian_obstruction(1, -1)
+
+
+def _dense_reference_obstruction(N: int, D: int, scale: Fraction):
+    """The obstruction system built as a dense Fraction matrix, with the
+    unknowns f_i's coefficients in ``gaussian_obstruction``'s order (i, then
+    degree, then exponents ascending), and solved by the dense reference
+    elimination; the f_i's terms, or None if there is no solution."""
+    monomials = [e for deg in range(D + 1)
+                 for e in sorted(itertools.product(range(deg + 1), repeat=N)) if sum(e) == deg]
+    unknowns = [(i, e) for i in range(N) for e in monomials]
+    one = (0,) * N
+    equations = sorted({e[:i] + (e[i] + s,) + e[i + 1:] for i, e in unknowns for s in (-1, 1)
+                        if e[i] + s >= 0} | {one})
+    row = {e: r for r, e in enumerate(equations)}
+    matrix = [[Fraction(0)] * len(unknowns) for _ in equations]
+    for c, (i, e) in enumerate(unknowns):
+        if e[i]:
+            matrix[row[e[:i] + (e[i] - 1,) + e[i + 1:]]][c] += e[i]
+        matrix[row[e[:i] + (e[i] + 1,) + e[i + 1:]]][c] += scale
+    x = reference_solve(matrix, [Fraction(e == one) for e in equations])
+    if x is None:
+        return None
+    terms = [{} for _ in range(N)]
+    for c, (i, e) in enumerate(unknowns):
+        if x[c]:
+            terms[i][e] = x[c]
+    return terms
 
 
 def test_form_element_validation(affine2):

@@ -7,14 +7,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaugemods.circle import CircleElement
 from gaugemods.derham import FormElement
 from gaugemods.gauge import GaugeField, GaugeModule
 from gaugemods.glrep import UEAElement, exterior_power
-from gaugemods.linalg import add_term, det, echelon, rank, solve
+from gaugemods.linalg import add_term, det, echelon, rank, solve, sparse_row
 from gaugemods.variety import Variety, sphere_variety
 
 from test_polyring import RING, SPHERE, X, Y, Z
@@ -180,6 +180,53 @@ def test_rank_and_solve_equal_dense_reference(system):
     assert x == reference_solve(matrix, rhs)
     if x is not None:
         assert _apply(matrix, x) == rhs
+
+
+@st.composite
+def sparse_systems(draw):
+    """Rational rows over ncols pivot columns and up to two augmented columns
+    past them; some rows are combinations of the rows before them."""
+    ncols, width = draw(st.integers(1, 6)), draw(st.integers(0, 2))
+    width += ncols
+    entry = rationals(draw(st.sampled_from([0.0, 0.5, 0.85])))
+    rows: list[list[Fraction]] = []
+    for _ in range(draw(st.integers(1, 7))):
+        if rows and draw(st.booleans()):
+            coeffs = [draw(entry) for _ in rows]
+            rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
+                         for j in range(width)])
+        else:
+            rows.append([draw(entry) for _ in range(width)])
+    return rows, ncols, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+@example(([[Fraction(-2), Fraction(4), Fraction(1, 3)],
+           [Fraction(-1, 2), Fraction(0), Fraction(5)]], 2, 3))
+def test_echelon_equals_dense_reference(system):
+    rows, ncols, width = system
+    m = [r[:] for r in rows]
+    lead_columns = reference_echelon(m, ncols)
+    pivots, rest = echelon([sparse_row(r) for r in rows], ncols)
+    expected = {c: sparse_row(m[i]) for i, c in enumerate(lead_columns)}
+    assert all(type(x) is Fraction for row in pivots.values() for x in row.values())
+    assert len(rest) == len(rows) - len(pivots)
+    assert all(c >= ncols for row in rest for c in row)
+    # in the first ncols columns the reduced form is unique; past them it is
+    # unique up to the other rows, so it is exactly the reference's when
+    # those rows vanish, and otherwise all rows span what the input spans
+    assert {c: {k: x for k, x in row.items() if k < ncols} for c, row in pivots.items()} \
+        == {c: {k: x for k, x in row.items() if k < ncols} for c, row in expected.items()}
+    assert any(rest) == any(any(r) for r in m[len(lead_columns):])
+    if not any(rest):
+        assert pivots == expected
+
+    def spanned(sparse_rows):
+        dense_rows = [[Fraction(row.get(c, 0)) for c in range(width)] for row in sparse_rows]
+        return [sparse_row(r) for r in dense_rows[:len(reference_echelon(dense_rows, width))]]
+
+    assert spanned([*pivots.values(), *rest]) == spanned(map(sparse_row, rows))
 
 
 def test_int_entries_give_fractions():
