@@ -194,8 +194,8 @@ class ObstructionResult(NamedTuple):
 # Largest N * C(N+D, N) * C(N+D+1, N), the entries of the system written
 # densely, that gaussian_obstruction accepts.  On one core of a shared
 # two-core Xeon host the systems just below it, solved at scale -2 and 0 in
-# a fresh process, take at most 1.2 s and 18.4 MB peak RSS: (N, D) =
-# (1, 1411), 1,995,156 entries, 1.2 s; (2, 42), 0.09 s; (5, 6), 0.05 s.
+# a fresh process, take at most 0.05 s and 17.2 MB peak RSS: (N, D) =
+# (1, 1411), 1,995,156 entries, 0.03 s; (2, 42), 0.05 s; (5, 6), 0.03 s.
 # (4, 6), the largest bundled-size system, has 277,200 and takes 10 ms.
 _OBSTRUCTION_ENTRY_BUDGET = 2_000_000
 

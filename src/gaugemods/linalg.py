@@ -11,15 +11,18 @@ it serves any ring whose elements support ``+``, ``*`` and ``is_zero``.
 ``echelon`` is Gauss-Jordan elimination on sparse rows without fractions
 (integer-preserving, as in Bareiss 1968, but taking each row's content out
 instead of dividing by the previous pivot): rows are int numerators, and
-only the final pivot rows, scaled to lead 1, hold ``Fraction``s.  Its cost
-follows the nonzero entries.  ``solve_sparse`` takes sparse rows with the
-right-hand side past the unknowns; ``rank`` and ``solve`` take dense
-matrices and leave them unchanged.
+only the final pivot rows, scaled to lead 1, hold ``Fraction``s.  A forward
+pass reduces each row by the pivots before it and one back-substitution
+clears the pivot rows, so its cost follows the nonzero entries.
+``solve_sparse`` takes sparse rows with the right-hand side past the
+unknowns; ``rank`` and ``solve`` take dense matrices and leave them
+unchanged.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
@@ -200,30 +203,43 @@ def echelon(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[dict[
     ``Fraction``), pivoting only in the first ``ncols`` columns.
 
     Each row enters as its integer numerators, which span the same line,
-    and is reduced by the pivot rows found so far without fractions (see
-    ``_eliminate``); if it keeps an entry below ``ncols``, its first column
-    becomes a new pivot and is eliminated from the earlier pivot rows in
-    the same way.  Returns the reduced row echelon form as a map from pivot
-    column to row, each scaled once at the end to lead 1 with ``Fraction``
-    entries, and the other rows, reduced int rows that are zero in the
-    first ``ncols`` columns.  Past ``ncols`` the pivot rows depend on the
-    order of the rows unless all the other rows are zero.
+    and is reduced without fractions (see ``_eliminate``) by the pivot rows
+    it meets, smallest column first: a pivot row holds no column below its
+    lead, so each step adds only later columns.  If it keeps an entry below
+    ``ncols``, its first such column becomes a new pivot.  One
+    back-substitution, from the last pivot column down, then clears each
+    pivot row of the later pivot columns.  Returns the reduced row echelon
+    form as a map from pivot column to row, each scaled once at the end to
+    lead 1 with ``Fraction`` entries, and the other rows, reduced int rows
+    that are zero in the first ``ncols`` columns.  Past ``ncols`` the pivot
+    rows depend on the order of the rows unless all the other rows are
+    zero.
     """
     pivots: dict[int, dict[int, int]] = {}
     rest: list[dict[int, int]] = []
     for row in rows:
         row = int_form(row)[0]
-        # a pivot row is zero in every other pivot column, so one pass suffices
-        for c in [c for c in row if c in pivots]:
-            row = _eliminate(row, c, pivots[c])
+        met = [c for c in row if c in pivots]
+        heapify(met)
+        while met:
+            c = heappop(met)
+            if c in row:  # not cancelled by an earlier step
+                pivot = pivots[c]
+                row = _eliminate(row, c, pivot)
+                for k in pivot:
+                    if k in pivots and k in row:
+                        heappush(met, k)
         lead = min((c for c in row if c < ncols), default=None)
         if lead is None:
             rest.append(row)
-            continue
-        for c, other in pivots.items():
-            if lead in other:
-                pivots[c] = _eliminate(other, lead, row)
-        pivots[lead] = row
+        else:
+            pivots[lead] = row
+    # the later pivot rows are reduced already, so each leaves no pivot column
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for k in [k for k in row if k != c and k in pivots]:
+            row = _eliminate(row, k, pivots[k])
+        pivots[c] = row
     for c, row in pivots.items():
         lead = row[c]
         pivots[c] = {k: Fraction(x, lead) for k, x in row.items()}

@@ -8,18 +8,28 @@ Grammar (standard precedence, ``^`` strongest, unary minus in between):
     power  := atom ('^' INT)?
     atom   := NUMBER | NAME | '(' expr ')'
 
-``NUMBER`` is an integer or a rational literal ``a/b``; ``/`` is only
-valid between integer literals.  Variable names must belong to the
-target ring, and an exponent above its degree cap raises
+``NUMBER`` is an integer of ASCII digits or a rational literal ``a/b``;
+``/`` is only valid between integer literals.  A name starts with a letter
+or ``_`` and goes on with letters, digits and ``_``.  Variable names must
+belong to the target ring, and an exponent above its degree cap raises
 ``DegreeOverflowError``.  Errors carry the offending position in the input.
+
+Every value met while parsing is a term map from packed exponents (see
+``polyring``) to int or ``Fraction`` coefficients: a variable is its packed
+unit and a number the constant term.  Sums accumulate in place, and
+products and powers check the degree cap where ``Polynomial`` arithmetic
+does, so an overflow raises at the same point and with the same text.
+``parse_poly`` builds one ``Polynomial`` from the final map.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import NamedTuple
 
-from .polyring import DegreeOverflowError, Polynomial, PolyRing
+from .linalg import int_form
+from .polyring import (DegreeOverflowError, Polynomial, PolyRing, _check_degree, _power,
+                       _product)
 
 
 class ParseError(ValueError):
@@ -28,138 +38,138 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _Token(NamedTuple):
-    kind: str  # "int", "name", "op", "end"
-    text: str
-    pos: int
+# \s is str.isspace and \w is str.isalnum or "_", so findall skips exactly
+# the whitespace.  A \w run never starts with an ASCII digit, which starts a
+# number instead; one that starts with neither a letter nor "_" (a non-ASCII
+# digit, say) is a stray character, as is any other non-operator.
+_TOKEN = re.compile(r"[0-9]+|\w+|\S")
+_OPS = frozenset("+-*^()/")
+
+Terms = dict[int, int | Fraction]
 
 
-_OPS = set("+-*^()/")
+def _position(text: str, i: int) -> int:
+    """Where token i of text starts; the end token starts at len(text)."""
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    return starts[i] if i < len(starts) else len(text)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-        elif ch in _OPS:
-            tokens.append(_Token("op", ch, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text, then "" for its end."""
+    tokens = _TOKEN.findall(text)
+    for i, t in enumerate(tokens):
+        c = t[0]
+        if not (c in _OPS or c.isalpha() or c == "_" or "0" <= c <= "9"):
+            raise ParseError(f"unexpected character {c!r}", _position(text, i))
+    tokens.append("")
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], ring: PolyRing):
-        self.tokens = tokens
+    """A token is a number (all digits), a name, an operator, or "" at the end."""
+
+    def __init__(self, text: str, ring: PolyRing):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.ring = ring
+        self.units = dict(zip(ring.variables, ring._units))
         self.i = 0
 
-    @property
-    def tok(self) -> _Token:
-        return self.tokens[self.i]
+    def error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, _position(self.text, i))
 
-    def advance(self) -> _Token:
-        t = self.tok
+    def expect_op(self, op: str) -> None:
+        if self.tokens[self.i] != op:
+            raise self.error(f"expected {op!r}, found {self.tokens[self.i]!r}", self.i)
         self.i += 1
-        return t
 
-    def expect_op(self, text: str) -> None:
-        if self.tok.kind != "op" or self.tok.text != text:
-            raise ParseError(f"expected {text!r}, found {self.tok.text!r}", self.tok.pos)
-        self.advance()
-
-    def at_op(self, *texts: str) -> bool:
-        return self.tok.kind == "op" and self.tok.text in texts
-
-    def parse(self) -> Polynomial:
+    def parse(self) -> Terms:
         value = self.expr()
-        if self.tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {self.tok.text!r}", self.tok.pos)
+        if self.tokens[self.i]:
+            raise self.error(f"unexpected trailing input {self.tokens[self.i]!r}", self.i)
         return value
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> Terms:
         value = self.term()
-        while self.at_op("+", "-"):
-            op = self.advance().text
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+        while (op := self.tokens[self.i]) == "+" or op == "-":
+            self.i += 1
+            for e, c in self.term().items():
+                old = value.get(e)
+                if old is None:
+                    value[e] = c if op == "+" else -c
+                else:
+                    c = old + c if op == "+" else old - c
+                    if c:
+                        value[e] = c
+                    else:
+                        del value[e]
         return value
 
-    def term(self) -> Polynomial:
+    def term(self) -> Terms:
         value = self.unary()
-        while self.at_op("*"):
-            self.advance()
-            value = value * self.unary()
+        while self.tokens[self.i] == "*":
+            self.i += 1
+            value = _product(self.ring, value, self.unary())
         return value
 
-    def unary(self) -> Polynomial:
-        if self.at_op("-"):
-            self.advance()
-            return -self.unary()
+    def unary(self) -> Terms:
+        if self.tokens[self.i] == "-":
+            self.i += 1
+            value = self.unary()
+            for e, c in value.items():
+                value[e] = -c
+            return value
         return self.power()
 
-    def power(self) -> Polynomial:
+    def power(self) -> Terms:
         base = self.atom()
-        if self.at_op("^"):
-            self.advance()
-            if self.tok.kind != "int":
-                raise ParseError("exponent must be an integer literal", self.tok.pos)
-            exponent = int(self.advance().text)
+        if self.tokens[self.i] == "^":
+            text = self.tokens[self.i + 1]
+            if not text.isdigit():
+                raise self.error("exponent must be an integer literal", self.i + 1)
+            self.i += 2
+            exponent = int(text)
             if exponent > self.ring.degree_cap:
                 # bounds constant powers too, whose coefficients the cap misses
                 raise DegreeOverflowError(
                     f"exponent {exponent} exceeds the ring cap {self.ring.degree_cap}")
-            return base ** exponent
+            return _power(self.ring, base, exponent)
         return base
 
-    def atom(self) -> Polynomial:
-        t = self.tok
-        if t.kind == "int":
-            self.advance()
-            num = int(t.text)
-            if self.at_op("/"):
-                self.advance()
-                if self.tok.kind != "int":
-                    raise ParseError(
-                        "'/' is only valid between integer literals", self.tok.pos
-                    )
-                den = int(self.advance().text)
-                if den == 0:
-                    raise ParseError("zero denominator", t.pos)
-                return self.ring.const(Fraction(num, den))
-            return self.ring.const(num)
-        if t.kind == "name":
-            self.advance()
-            if t.text not in self.ring.variables:
-                raise ParseError(f"unknown variable {t.text!r}", t.pos)
-            return self.ring.var(t.text)
-        if self.at_op("("):
-            self.advance()
+    def atom(self) -> Terms:
+        i = self.i
+        text = self.tokens[i]
+        self.i += 1
+        if text.isdigit():
+            value: int | Fraction = int(text)
+            if self.tokens[self.i] == "/":
+                text = self.tokens[self.i + 1]
+                if not text.isdigit():
+                    raise self.error("'/' is only valid between integer literals", self.i + 1)
+                self.i += 2
+                if not int(text):
+                    raise self.error("zero denominator", i)
+                value = Fraction(value, int(text))
+            terms = {0: value} if value else {}
+        elif text == "(":
             value = self.expr()
             self.expect_op(")")
             return value
-        if self.at_op("/"):
-            raise ParseError("'/' is only valid between integer literals", t.pos)
-        raise ParseError(f"unexpected token {t.text!r}", t.pos)
+        elif text == "/":
+            raise self.error("'/' is only valid between integer literals", i)
+        elif text in _OPS or not text:
+            raise self.error(f"unexpected token {text!r}", i)
+        elif text in self.units:
+            terms = {self.units[text]: 1}
+        else:
+            raise self.error(f"unknown variable {text!r}", i)
+        if self.ring.degree_cap < 1:
+            # a cap of 0 admits no variable, and a negative one no constant
+            _check_degree(self.ring, terms)
+        return terms
 
 
 def parse_poly(text: str, ring: PolyRing) -> Polynomial:
     """Parse an expression string into an exact polynomial of ``ring``."""
-    return _Parser(_tokenize(text), ring).parse()
+    num, den = int_form(_Parser(text, ring).parse())
+    return Polynomial._own(ring, num, den)

@@ -223,42 +223,15 @@ class Polynomial(IntForm):
         if type(other) is not Polynomial and isinstance(other, (int, Fraction)):
             return self._scaled(other)
         other = self._operand(other)
-        a, b = self.num, other.num
-        if len(a) == 1 or len(b) == 1:
-            # a one-term factor shifts the other's exponents, which stay distinct
-            out = {ea + eb: ca * cb for ea, ca in a.items() for eb, cb in b.items()}
-        else:
-            out = {}
-            for ea, ca in a.items():
-                for eb, cb in b.items():
-                    e = ea + eb
-                    old = out.get(e)
-                    if old is None:
-                        out[e] = ca * cb
-                    else:
-                        s = old + ca * cb
-                        if s:
-                            out[e] = s
-                        else:
-                            del out[e]
-        _check_degree(self.ring, out)
-        return Polynomial._own(self.ring, out, self.den * other.den)
+        return Polynomial._own(self.ring, _product(self.ring, self.num, other.num),
+                               self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative powers are not polynomials")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
+        return Polynomial._own(self.ring, _power(self.ring, self.num, n), self.den ** n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
@@ -291,6 +264,51 @@ class Polynomial(IntForm):
 
     def __repr__(self) -> str:
         return f"Polynomial({render(self)!r})"
+
+
+def _product(ring: PolyRing, a: Mapping[int, int | Fraction],
+             b: Mapping[int, int | Fraction]) -> dict[int, int | Fraction]:
+    """The terms of a * b, for term maps on packed exponents within the cap,
+    in a new dict; raises if its degree exceeds the cap."""
+    if len(a) == 1 or len(b) == 1:
+        # a one-term factor shifts the other's exponents, which stay distinct
+        out = {ea + eb: ca * cb for ea, ca in a.items() for eb, cb in b.items()}
+    else:
+        out = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = ea + eb
+                old = out.get(e)
+                if old is None:
+                    out[e] = ca * cb
+                else:
+                    s = old + ca * cb
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+    _check_degree(ring, out)
+    return out
+
+
+def _power(ring: PolyRing, terms: Mapping[int, int | Fraction],
+           n: int) -> dict[int, int | Fraction]:
+    """The terms of terms ** n, in a new dict, by squaring and multiplying
+    with the cap checked at each product, so an overflow names the degree
+    of the first product past the cap.  A single term whose power stays
+    within the cap, where no product would raise, scales its exponent."""
+    if len(terms) == 1:
+        (e, c), = terms.items()
+        if (e >> ring._dshift) * n <= ring.degree_cap:
+            return {e * n: c ** n}
+    result, base = {0: 1}, terms
+    while n:
+        if n & 1:
+            result = _product(ring, result, base)
+        n >>= 1
+        if n:
+            base = _product(ring, base, base)
+    return result
 
 
 def _check_degree(ring: PolyRing, terms: Mapping[int, int]) -> None:

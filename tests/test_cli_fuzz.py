@@ -174,6 +174,9 @@ FOUND = {
     "a 0-dimensional custom module crashed the sampled checks": (
         _with("affine1_gauge.json", lambda s: s.update(
             module={"N": 1, "kind": "custom", "matrices": [[]]})), 2),
+    "a superscript digit in a generator raised ValueError": (
+        _with("sphere_variety.json", lambda s: s["variety"].update(
+            generators=["2\u00b2*x+y-1"])), 2),
     "an entry over h^3000 recursed once per power of h": (
         _with("sphere_gauge_flat.json", lambda s: s.update(
             B=[{"num": "1", "hpower": 3000}, "0"])), 3),

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gaugemods import derham as derham_mod
+from gaugemods import linalg as linalg_mod
 from gaugemods import sampling
 from gaugemods.derham import (
     FormElement,
@@ -304,6 +305,25 @@ class TestObstruction:
         # power of x: 7 c1 = 7, 14 c2 - 5 c0 = 0, -5 c1 = 0, -5 c2 = 0
         assert rows == [{1: 7, 3: 7}, {0: -5, 2: 14}, {1: -5}, {2: -5}]
         assert all(type(x) is int for row in rows for x in row.values())
+
+    def test_elimination_work_follows_the_rows(self, monkeypatch):
+        # a chain of 302 two-entry rows: eliminating each new pivot from
+        # every earlier pivot row that holds its column took 11,475 steps
+        steps, seen = [0], []
+        eliminate, solve = linalg_mod._eliminate, derham_mod._solve_exact
+
+        def count(*args):
+            steps[0] += 1
+            return eliminate(*args)
+
+        def record(rows, ncols):
+            seen.append(len(rows))
+            return solve(rows, ncols)
+
+        monkeypatch.setattr(linalg_mod, "_eliminate", count)
+        monkeypatch.setattr(derham_mod, "_solve_exact", record)
+        assert not gaussian_obstruction(1, 300).feasible
+        assert seen == [302] and steps[0] <= 2 * 302
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
