@@ -105,7 +105,7 @@ def _scenario_for(args: argparse.Namespace) -> dict:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ScenarioError(f"cannot load {args.file}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ScenarioError(f"{args.file}: expected a JSON object")

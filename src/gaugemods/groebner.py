@@ -19,10 +19,11 @@ irreducible varieties this package targets.  Their sums and products
 work on the normal-form representatives, one ``IntForm._sum`` or one
 ``reduce_product`` each.
 
-A tau derivation is linear too, and a chart derivation keeps three such
-maps: tau of n / h^p is one or two sums of kept images over the terms
-of n, with no product once the monomials of n have been met (see
-``TauDerivation``).
+A tau derivation is linear too, and keeps three such maps: on a chart,
+tau of n / h^p is one or two sums of kept images over the terms of n,
+with no product once the monomials of n have been met (see
+``TauDerivation``).  ``Localization.lift`` moves a numerator over a
+higher power of h, for sums, equality and the maps alike.
 """
 
 from __future__ import annotations
@@ -485,14 +486,12 @@ class QuotientElement:
 class Localization:
     """The localization A_(h): fractions with denominators powers of h."""
 
-    def __init__(self, qring: QuotientRing, h: QuotientElement, name: str | None = None):
+    def __init__(self, qring: QuotientRing, h: QuotientElement):
         if h.qring != qring:
             raise ValueError("h belongs to a different quotient ring")
         if h.is_zero():
             raise ValueError("cannot localize at zero")
-        self.qring = qring
-        self.h = h
-        self.name = name or str(h)
+        self.qring, self.h = qring, h
         self.h_is_one = h == qring.one()  # on an affine chart: h^k a is a
         self._hpow: dict[int, QuotientElement] = {0: qring.one(), 1: h}
 
@@ -514,6 +513,14 @@ class Localization:
             for j in range(len(powers), k + 1):
                 powers[j] = powers[j - 1] * self.h
         return powers[k]
+
+    def lift(self, num: Polynomial, k: int) -> Polynomial:
+        """NF(num h^k), for a numerator moved over k more powers of h: num
+        itself where k = 0 or h = 1, and no product where num = 0."""
+        if not k or self.h_is_one:
+            return num
+        hk = self.hpow(k).rep
+        return self.qring.gb.reduce_product(num, hk) if num.num else num
 
     def element(self, numerator, hpower: int = 0) -> "LocalizedElement":
         if hpower < 0:
@@ -591,11 +598,8 @@ class LocalizedElement:
         if not a.num:
             return other
         p, q = self.hpower, other.hpower
-        if p != q and not loc.h_is_one:
-            if p < q:
-                a = loc.qring.gb.reduce_product(a, loc.hpow(q - p).rep)
-            else:
-                b = loc.qring.gb.reduce_product(b, loc.hpow(p - q).rep)
+        if p != q:
+            a, b = (loc.lift(a, q - p), b) if p < q else (a, loc.lift(b, p - q))
         # a sum of normal forms is a normal form: no new monomials appear
         return LocalizedElement(loc, QuotientElement(loc.qring, a._sum(b, 1)), max(p, q))
 
@@ -640,11 +644,8 @@ class LocalizedElement:
         if not isinstance(other, LocalizedElement):
             return NotImplemented
         self._check(other)
-        if self.loc.h_is_one:
-            return self.num == other.num
-        lhs = self.num * other.loc.hpow(other.hpower) if other.hpower else self.num
-        rhs = other.num * self.loc.hpow(self.hpower) if self.hpower else other.num
-        return lhs == rhs
+        return (other.loc.lift(self.num.rep, other.hpower)
+                == self.loc.lift(other.num.rep, self.hpower))
 
     def __hash__(self) -> int:
         raise TypeError("LocalizedElement is unhashable (equality is up to h-powers)")
@@ -653,7 +654,7 @@ class LocalizedElement:
         if self.hpower == 0:
             return str(self.num)
         suffix = f"^{self.hpower}" if self.hpower > 1 else ""
-        return f"({self.num})/{self.loc.name}{suffix}"
+        return f"({self.num})/{self.loc.h}{suffix}"
 
     def __repr__(self) -> str:
         return f"LocalizedElement({self})"
@@ -663,49 +664,48 @@ class TauDerivation:
     """The derivation d/dx_i + sum_j f_ij d/dx_j of A_(h).
 
     ``var`` is the distinguished chart parameter; ``corrections`` maps
-    the dependent variable names to their localized coefficients f_ij.
-    A derivation compares and hashes by identity, so a result remembered
-    for one derivation is never returned for another, even one with the
-    same parameter name on another chart.
+    the dependent variable names to their localized coefficients f_ij,
+    all kept over h^m, m = ``hpower`` being the largest power of a nonzero
+    f_ij (0 if there is none; 1 in every frame ``solve_tau`` builds).  A
+    derivation compares and hashes by identity, so a result remembered for
+    one derivation is never returned for another, even one with the same
+    parameter name on another chart.
 
-    tau is linear, and its value on a monomial never changes.  So where
-    every f_ij is some c_ij / h, as in every frame ``solve_tau`` builds,
-    the derivation keeps three linear maps on monomials (``_KeptMap``),
-    each image built once from products in A on first use:
+    tau is linear, and its value on a monomial never changes.  So the
+    derivation keeps three linear maps on monomials (``_KeptMap``), each
+    image built once from products in A on first use, and ``loc_partial``
+    sums them over the terms of a numerator:
 
-    - the numerator of tau(x^e) over h, that is
-      NF(h d(x^e)/dx_i + sum_j c_ij d(x^e)/dx_j);
-    - h times it, for a sum over h^2;
-    - NF(x^e t), where tau(h) = t / h^k.
-
-    ``loc_partial`` then sums them over the terms of a numerator (see
-    ``_from_table``).  A derivation with any other coefficient (over h^0,
-    say) has no table and applies the quotient rule.
+    - A(e), the numerator of tau(x^e) over h^m;
+    - h A(e);
+    - NF(x^e t), where tau(h) = t / h^k and k is 0 or m.
     """
 
     def __init__(self, loc: Localization, var: str,
                  corrections: Mapping[str, LocalizedElement]):
-        self.loc, self.var, self.corrections = loc, var, corrections
-        ring = loc.qring.ring
-        self._table: tuple[_KeptMap, _KeptMap, _KeptMap] | None = None
-        if all(type(f) is LocalizedElement and f.loc is loc and f.hpower == 1
-               for f in corrections.values()):
-            gb, h, one = loc.qring.gb, loc.h.rep, ring.one()
-            monomial = lambda e: Polynomial._own(ring, {e: 1})
+        corrections = {name: loc.element(f) for name, f in corrections.items()}
+        m = max((f.hpower for f in corrections.values() if f), default=0)
+        self.loc, self.var, self.hpower = loc, var, m
+        self.corrections = {name: f if f.hpower == m else LocalizedElement(
+            loc, QuotientElement(loc.qring, loc.lift(f.num.rep, m - f.hpower)), m)
+            for name, f in corrections.items()}
+        ring, one = loc.qring.ring, loc.qring.ring.one()
+        monomial = lambda e: Polynomial._own(ring, {e: 1})
 
-            def numerator(e: int) -> Polynomial:  # of tau(x^e) over h
-                t = self.apply_poly(QuotientElement(loc.qring, monomial(e)))
-                return t.num.rep if t.hpower or loc.h_is_one else gb.reduce_product(t.num.rep, h)
+        def numerator(e: int) -> Polynomial:  # of tau(x^e) over h^m
+            t = self.apply_poly(QuotientElement(loc.qring, monomial(e)))
+            return loc.lift(t.num.rep, m - t.hpower)
 
-            over_h = _KeptMap(ring, numerator)
-            times_h = over_h if loc.h_is_one else _KeptMap(
-                ring, lambda e: gb.reduce_product(over_h.sum(one, monomial(e)), h))
-            times_t = _KeptMap(ring, lambda e: gb.reduce_product(monomial(e), self.tau_h.num.rep))
-            self._table = (over_h, times_h, times_t)
-        # the exponent fields of the corrected variables: a monomial outside
-        # them has d/dx_j = 0 for every j
+        over_h = _KeptMap(ring, numerator)
+        times_h = over_h if loc.h_is_one else _KeptMap(
+            ring, lambda e: loc.lift(over_h.sum(one, monomial(e)), 1))
+        times_t = _KeptMap(
+            ring, lambda e: loc.qring.gb.reduce_product(monomial(e), self.tau_h.num.rep))
+        self._table = (over_h, times_h, times_t)
+        # the exponent fields of the variables with a nonzero correction: a
+        # monomial outside them has f_ij d/dx_j = 0 for every j
         self._corrected = sum(ring._mask << ring._shifts[ring.index(name)]
-                              for name in corrections)
+                              for name, f in self.corrections.items() if f)
 
     def apply_poly(self, p: "QuotientElement | Polynomial") -> LocalizedElement:
         """tau(p) for p in A.  The partials of a normal form are normal forms
@@ -743,46 +743,38 @@ class TauDerivation:
             out = derived[self] = loc_partial(a, self)
         return out
 
-    def _from_table(self, n: Polynomial, p: int) -> LocalizedElement:
-        """tau(n / h^p) from the table.  With tau(h) = t / h^k, the quotient
-        rule leaves (sum h A - p sum x^e t) / h^(p+2) where k = 1, and
-        (sum A - p sum x^e t) / h^(p+1) where k = 0, with A the numerator
-        of tau(x^e) over h and each sum over the terms of n.  Where p = 0
-        or n t = 0, it leaves tau(n) / h^p: tau(n) is sum A / h if n has a
-        term in a corrected variable, and d n/dx_i otherwise."""
-        loc = self.loc
-        over_h, times_h, times_t = self._table
-        one = loc.qring.one().rep  # h is not 0, so I is not the unit ideal
-        t = times_t.sum(one, n) if p and self.tau_h else None
-        if t is None or not t.num:
-            if any(e & self._corrected for e in n.num):
-                return LocalizedElement(loc, QuotientElement(loc.qring, over_h.sum(one, n)), p + 1)
-            return LocalizedElement(loc, QuotientElement(loc.qring, n.partial(self.var)), p)
-        k = self.tau_h.hpower
-        num = (times_h if k else over_h).sum(one, n)._sum(t, -p)
-        return LocalizedElement(loc, QuotientElement(loc.qring, num), p + 1 + k)
-
 
 def loc_partial(a: LocalizedElement, tau: TauDerivation) -> LocalizedElement:
-    """Apply a tau derivation to a localized element by the quotient rule.
+    """tau(a) by the quotient rule, from the derivation's kept maps.
 
-    For a = n / h^p:  tau(a) = tau(n)/h^p - p * n * tau(h) / h^(p+1).
-
-    A derivation with a table sums its kept images instead (see
-    ``TauDerivation._from_table``), to the same numerator and power of h.
+    For a = n / h^p,  tau(a) = tau(n)/h^p - p n tau(h)/h^(p+1), with the
+    numerator and power of h that this one-sided sum leaves.  With tau(h)
+    = t / h^k and each sum over the terms of n, it is
+    - tau(n) / h^p where p = 0 or n t = 0: sum A / h^(p+m) if n has a term
+      in a corrected variable, and (d n/dx_i) / h^p otherwise;
+    - (sum h A - p sum x^e t) / h^(p+1+m) where k = m;
+    - (sum A - p h^(m-1) sum x^e t) / h^(p+m) where k = 0 < m, unless m > 1
+      and tau(n) is over h^0: then (h tau(n) - p sum x^e t) / h^(p+1).
     An element of another localization than the derivation's is rejected.
     """
     loc = a.loc
     if loc is not tau.loc and loc != tau.loc:
         raise ValueError("element of a different localization")
-    if tau._table is not None:
-        return tau._from_table(a.num.rep, a.hpower)
-    d_num = tau.apply_poly(a.num)
-    out = LocalizedElement(loc, d_num.num, d_num.hpower + a.hpower)
-    if a.hpower:
-        d_h = tau.tau_h
-        correction = LocalizedElement(
-            loc, a.num * d_h.num * Fraction(-a.hpower), a.hpower + 1 + d_h.hpower
-        )
-        out = out + correction
-    return out
+    over_h, times_h, times_t = tau._table
+    n, p, m = a.num.rep, a.hpower, tau.hpower
+    one = loc.qring.one().rep  # h is not 0, so I is not the unit ideal
+    t = times_t.sum(one, n) if p and tau.tau_h else None
+    if t is None or not t.num:
+        if any(e & tau._corrected for e in n.num):
+            return LocalizedElement(loc, QuotientElement(loc.qring, over_h.sum(one, n)), p + m)
+        return LocalizedElement(loc, QuotientElement(loc.qring, n.partial(tau.var)), p)
+    if tau.tau_h.hpower == m:
+        num, power = times_h.sum(one, n)._sum(t, -p), p + 1 + m
+    else:
+        d = over_h.sum(one, n)
+        if m == 1 or d.num and any(e & tau._corrected for e in n.num):
+            num, power = d._sum(loc.lift(t, m - 1), -p), p + m
+        else:  # tau(n) is d n/dx_i over h^0, or 0 where d is
+            d = loc.lift(n.partial(tau.var), 1) if d.num else d
+            num, power = d._sum(t, -p), p + 1
+    return LocalizedElement(loc, QuotientElement(loc.qring, num), power)

@@ -78,6 +78,13 @@ class _Parser:
     def error(self, message: str, i: int) -> ParseError:
         return ParseError(message, _position(self.text, i))
 
+    def integer(self, i: int) -> int:
+        """Token i, an integer literal; one longer than int() takes is an error."""
+        try:
+            return int(self.tokens[i])
+        except ValueError:
+            raise self.error("integer literal too long", i) from None
+
     def expect_op(self, op: str) -> None:
         if self.tokens[self.i] != op:
             raise self.error(f"expected {op!r}, found {self.tokens[self.i]!r}", self.i)
@@ -124,11 +131,10 @@ class _Parser:
     def power(self) -> Terms:
         base = self.atom()
         if self.tokens[self.i] == "^":
-            text = self.tokens[self.i + 1]
-            if not text.isdigit():
+            if not self.tokens[self.i + 1].isdigit():
                 raise self.error("exponent must be an integer literal", self.i + 1)
+            exponent = self.integer(self.i + 1)
             self.i += 2
-            exponent = int(text)
             if exponent > self.ring.degree_cap:
                 # bounds constant powers too, whose coefficients the cap misses
                 raise DegreeOverflowError(
@@ -141,15 +147,15 @@ class _Parser:
         text = self.tokens[i]
         self.i += 1
         if text.isdigit():
-            value: int | Fraction = int(text)
+            value: int | Fraction = self.integer(i)
             if self.tokens[self.i] == "/":
-                text = self.tokens[self.i + 1]
-                if not text.isdigit():
+                if not self.tokens[self.i + 1].isdigit():
                     raise self.error("'/' is only valid between integer literals", self.i + 1)
+                den = self.integer(self.i + 1)
                 self.i += 2
-                if not int(text):
+                if not den:
                     raise self.error("zero denominator", i)
-                value = Fraction(value, int(text))
+                value = Fraction(value, den)
             terms = {0: value} if value else {}
         elif text == "(":
             value = self.expr()

@@ -18,11 +18,12 @@ from .variety import Chart
 
 
 _DENOMINATORS = (1, 1, 2, 3)
+_SPAN = 3  # numerators are drawn from -_SPAN.._SPAN
 _LOCALIZED_DEGREE, _LOCALIZED_TERMS, _LOCALIZED_HPOWER = 2, 2, 1
 
 
-def rational(rng: random.Random, span: int = 3) -> Fraction:
-    num = rng.randint(-span, span)
+def rational(rng: random.Random) -> Fraction:
+    num = rng.randint(-_SPAN, _SPAN)
     den = rng.choice(_DENOMINATORS)
     return Fraction(num, den)
 
@@ -40,7 +41,7 @@ def polynomial(rng: random.Random, ring: PolyRing, max_degree: int = 2,
         e = 0
         for _ in range(rng.randint(0, max_degree)):
             e += units[rng.randrange(nvars)]
-        c = rng.randint(-3, 3)
+        c = rng.randint(-_SPAN, _SPAN)
         add_term(num, e, c * (6 // rng.choice(_DENOMINATORS)))
     _check_degree(ring, num)
     return Polynomial._own(ring, num, 6)

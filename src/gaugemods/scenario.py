@@ -74,7 +74,7 @@ def load_scenario(path: str | Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ScenarioError(f"cannot load scenario {path}: {exc}") from exc
     return validate_scenario(data, str(path))
 

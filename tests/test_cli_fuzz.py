@@ -13,11 +13,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gaugemods.cli import main
-from gaugemods.scenario import bundled_scenario_names
+from gaugemods.scenario import ScenarioError, bundled_scenario_names, load_scenario
 
 SCENARIOS = resources.files("gaugemods").joinpath("scenarios")
 BUNDLED = {name: json.loads(SCENARIOS.joinpath(name).read_text(encoding="utf-8"))
@@ -177,6 +178,12 @@ FOUND = {
     "a superscript digit in a generator raised ValueError": (
         _with("sphere_variety.json", lambda s: s["variety"].update(
             generators=["2\u00b2*x+y-1"])), 2),
+    "a number of more than 4,300 digits raised ValueError": (
+        _with("sphere_variety.json", lambda s: s["variety"].update(
+            generators=["1" * 5000 + "*x+y-1"])), 2),
+    "an exponent of more than 4,300 digits raised ValueError": (
+        _with("sphere_variety.json", lambda s: s["variety"].update(
+            generators=["x^" + "1" * 5000 + "+y-1"])), 2),
     "an entry over h^3000 recursed once per power of h": (
         _with("sphere_gauge_flat.json", lambda s: s.update(
             B=[{"num": "1", "hpower": 3000}, "0"])), 3),
@@ -196,6 +203,24 @@ def test_inputs_found_by_fuzzing(tmp_path):
         path.write_text(json.dumps(scn))
         code, err = run(["run", "--no-timing", "--samples", "1", str(path)])
         assert (code, "Traceback" in err) == (want, False), why
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"schema": "1", "kind": "variety", "name": "\xff"}',
+    b'{"schema": "1", "kind": "gauge", "seed": ' + b"1" * 5000 + b"}",
+], ids=["not UTF-8", "an integer of 5,000 digits"])
+def test_a_file_that_json_dumps_cannot_write_exits_2(tmp_path, raw):
+    """Both loaders, ``load_scenario`` and the variety command's own, once
+    raised UnicodeDecodeError or ValueError on these bytes.  ``json.dumps``
+    writes neither, so ``FOUND`` cannot hold them."""
+    path = tmp_path / "scenario.json"
+    path.write_bytes(raw)
+    with pytest.raises(ScenarioError, match="cannot load scenario"):
+        load_scenario(path)
+    for argv in (["run"], ["variety", "check"], ["gauge", "verify"]):
+        code, err = run(argv + [str(path)])
+        assert (code, "Traceback" in err) == (2, False), argv
+        assert "cannot load" in err
 
 
 def test_a_zero_generator_exits_2_and_names_it(tmp_path):

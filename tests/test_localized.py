@@ -6,13 +6,14 @@ by the other's h-power, h^0 included; and the quotient rule reduces the
 partials of every numerator.  Multiplying a normal form by 1 and reducing
 it gives it back, so the one-sided code must build exactly the same
 numerator and h-power.  ``reference_loc_partial`` is the quotient rule
-product by product, as a derivation without a table applies it; a chart
-derivation's table of per-monomial forms must give its numerator and
-h-power exactly.
+product by product, with the one-sided sums; a derivation's table of
+per-monomial forms must give its numerator and h-power exactly, whatever
+powers of h its corrections are over.
 """
 
 from fractions import Fraction
 from functools import cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -78,9 +79,9 @@ def reference_loc_apply_poly(tau, p):
 
 
 def reference_loc_partial(a, tau):
-    """The quotient rule as ``loc_partial`` applies it to a derivation with
-    no table: tau(n)/h^p, then - p n tau(h)/h^(p+1) added by the one-sided
-    sum.  A table must give exactly this numerator and power of h."""
+    """The quotient rule with the one-sided sums: tau(n)/h^p, then
+    - p n tau(h)/h^(p+1) added to it.  The table must give exactly this
+    numerator and power of h."""
     loc = a.loc
     d_num = reference_loc_apply_poly(tau, a.num)
     out = LocalizedElement(loc, d_num.num, d_num.hpower + a.hpower)
@@ -443,10 +444,13 @@ def test_an_element_of_an_equal_localization_is_derived_from_the_table(count_cal
     assert tau_x.loc == chart.localization and tau_x.loc is not chart.localization
     x, y = (chart.variety.ring.var(v) for v in "xy")
     a = chart.localization.element(x * y - 2, 2)
-    from_table = count_calls(groebner.TauDerivation, "_from_table")
+    # the images of the monomials of x y - 2 are built on this first call
+    want = loc_partial(tau_x.loc.element(x * y - 2, 2), tau_x)
+    table_sums = count_calls(groebner._KeptMap, "sum")
     got = loc_partial(a, tau_x)
-    assert from_table.calls == 1
-    assert form(got) == form(reference_loc_partial(a, tau_x))
+    # one sum of the images of x^e t, one of h times the numerators of tau(x^e)
+    assert table_sums.calls == 2
+    assert form(got) == form(want) == form(reference_loc_partial(a, tau_x))
 
 
 def test_a_derivation_rejects_an_element_of_another_chart():
@@ -480,7 +484,7 @@ def test_a_tabled_tau_is_the_quotient_rule(name, data):
     num = data.draw(polynomials(v.ring, max_degree=4, max_terms=4))
     a = loc.element(num, data.draw(st.integers(0, 3)))
     for tau in chart.frame.taus.values():
-        assert tau._table is not None
+        assert tau.hpower == (1 if tau.corrections else 0)
         want = form(reference_loc_partial(a, tau))
         assert form(loc_partial(a, tau)) == want
         assert form(tau(a)) == want
@@ -495,10 +499,56 @@ def test_the_parabola_has_a_chart_with_h_one_and_a_correction():
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_a_derivation_with_an_h0_correction_keeps_the_quotient_rule(data):
-    """d/dx + d/dy on the plane: its correction 1 is over h^0, so no table
-    may stand in for the quotient rule."""
+    """d/dx + d/dy on the plane: its correction 1 is over h^0, and its
+    table must leave the quotient rule's numerator and power of h."""
     ploc = named_chart("affine2").localization
     d_xy = groebner.TauDerivation(ploc, "x", {"y": ploc.one()})
-    assert d_xy._table is None
     a = data.draw(localized(named_chart("affine2")))
     assert form(d_xy(a)) == form(reference_loc_partial(a, d_xy))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_corrections_over_mixed_powers_of_h_keep_the_quotient_rule(data):
+    """A hand-built derivation with corrections over h^0, h^1 and h^2 keeps
+    them over the largest power of a nonzero one.  tau is the quotient rule
+    of the corrections as given in value, and that of the kept corrections
+    in stored form."""
+    chart = named_chart(data.draw(st.sampled_from(sorted(CHARTS))))
+    loc, names = chart.localization, chart.variety.ring.variables
+    var = data.draw(st.sampled_from(names))
+    corrected = data.draw(st.lists(st.sampled_from(names), unique=True, max_size=len(names)))
+    given_ = {name: data.draw(localized(chart, max_hpower=2)) for name in corrected}
+    tau = groebner.TauDerivation(loc, var, given_)
+    m = max((f.hpower for f in given_.values() if f), default=0)
+    assert tau.hpower == m
+    for name, f in given_.items():
+        kept = tau.corrections[name]
+        assert kept.hpower == (m if f else 0) and reference_eq(kept, f)
+    as_given = SimpleNamespace(loc=loc, var=var, corrections=given_)
+    a = data.draw(localized(chart))
+    got = tau(a)
+    assert reference_eq(got, reference_partial(a, as_given))
+    assert form(got) == form(reference_loc_partial(a, tau))
+
+
+def test_a_correction_of_another_localization_is_rejected():
+    sphere = variety("sphere")
+    zloc, yloc = sphere.chart("z").localization, sphere.chart("y").localization
+    with pytest.raises(ValueError, match="different localization"):
+        groebner.TauDerivation(zloc, "x", {"z": yloc.element(1, 1)})
+
+
+def test_tau_h_over_h0_under_a_correction_over_h2_keeps_the_quotient_rule():
+    """d/dz + (y/z^2) d/dy on the sphere chart z: tau(h) = 1 is over h^0
+    and the correction over h^2.  tau(y/z) = (y - y z)/z^3, and tau(x/z)
+    = -x/z^2 as the quotient rule leaves it, not -x z/z^3: tau(x) = 0 is
+    over h^0."""
+    chart = named_chart("sphere-z")
+    loc, ring = chart.localization, chart.variety.ring
+    x, y, z = (ring.var(v) for v in "xyz")
+    tau = groebner.TauDerivation(loc, "z", {"y": loc.element(y, 2)})
+    assert (tau.hpower, tau.tau_h.hpower) == (2, 0)
+    for a, want in ((loc.element(y, 1), (y - y * z, 3)), (loc.element(x, 1), (-x, 2)),
+                    (loc.element(x * z, 1), (ring.zero(), 0))):
+        assert form(tau(a)) == want == form(reference_loc_partial(a, tau))

@@ -63,6 +63,15 @@ def test_zero_denominator():
         parse_poly("1/0", RING)
 
 
+@pytest.mark.parametrize("text, position", [
+    ("1" * 5000 + "*x", 0), ("x + 2/" + "1" * 5000, 6), ("x^" + "1" * 5000, 2)])
+def test_an_integer_literal_longer_than_int_takes_is_a_parse_error(text, position):
+    # a number, a denominator and an exponent past the interpreter's digit limit
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, RING)
+    assert str(err.value) == f"integer literal too long (at position {position})"
+
+
 def test_trailing_garbage():
     with pytest.raises(ParseError):
         parse_poly("x + y )", RING)
