@@ -12,8 +12,8 @@ the d/dt chart frame (B -> s*(B - rho(E_11))) makes the general gauge
 action reproduce the formulas above exactly; ``gauge_crosscheck``
 verifies this on a grid.
 
-All scalars are exact rationals.  Index support is confined to a
-configurable window so that runaway words fail loudly.
+All scalars are exact rationals.  Index support is confined to the
+window [-WINDOW, WINDOW] so that runaway words fail loudly.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ from .variety import Chart, Variety, circle_variety
 
 Key = tuple[str, int]  # ("v" | "u", index)
 
-DEFAULT_WINDOW = 16
+WINDOW = 16
 
 
 class IndexWindowError(RuntimeError):
-    """Raised when an index leaves the configured support window."""
+    """Raised when an index leaves the support window."""
 
 
 class CircleElement(IntForm):
@@ -45,17 +45,16 @@ class CircleElement(IntForm):
     different alpha neither add nor compare equal.
     """
 
-    __slots__ = ("alpha", "window")
+    __slots__ = ("alpha",)
 
-    def __init__(self, alpha: Fraction | int, terms: Mapping[Key, int | Fraction],
-                 window: int = DEFAULT_WINDOW):
-        _check_keys(terms, window)
-        self.alpha, self.window, self._terms = Fraction(alpha), window, None
+    def __init__(self, alpha: Fraction | int, terms: Mapping[Key, int | Fraction]):
+        _check_keys(terms)
+        self.alpha, self._terms = Fraction(alpha), None
         self.num, self.den = int_form(terms)
 
     def _like(self, num: dict[Key, int], den: int) -> "CircleElement":
         x = CircleElement.__new__(CircleElement)
-        x.alpha, x.window = self.alpha, self.window
+        x.alpha = self.alpha
         return x._adopt(num, den)
 
     def __add__(self, other: "CircleElement") -> "CircleElement":
@@ -67,8 +66,6 @@ class CircleElement(IntForm):
     def _operand(self, other: "CircleElement") -> "CircleElement":
         if type(other) is not CircleElement or other.alpha != self.alpha:
             raise ValueError("CircleElement: cannot add elements of different spaces")
-        if other.window != self.window:
-            _check_keys(other.num, self.window)
         return other
 
     def scale(self, c: Fraction | int) -> "CircleElement":
@@ -94,24 +91,24 @@ class CircleElement(IntForm):
         return f"CircleElement({self})"
 
 
-def _check_keys(keys: Iterable[Key], window: int) -> None:
+def _check_keys(keys: Iterable[Key]) -> None:
     """Raise for the first key, in order, with an unknown symbol or an index
-    outside [-window, window]."""
+    outside [-WINDOW, WINDOW]."""
     for sym, k in keys:
         if sym not in ("v", "u"):
             raise ValueError(f"unknown symbol {sym!r}")
-        if abs(k) > window:
+        if abs(k) > WINDOW:
             raise IndexWindowError(
-                f"index {k} outside the support window [-{window}, {window}]"
+                f"index {k} outside the support window [-{WINDOW}, {WINDOW}]"
             )
 
 
-def basis_v(alpha: Fraction | int, k: int, window: int = DEFAULT_WINDOW) -> CircleElement:
-    return CircleElement(alpha, {("v", k): 1}, window)
+def basis_v(alpha: Fraction | int, k: int) -> CircleElement:
+    return CircleElement(alpha, {("v", k): 1})
 
 
-def basis_u(alpha: Fraction | int, k: int, window: int = DEFAULT_WINDOW) -> CircleElement:
-    return CircleElement(alpha, {("u", k): 1}, window)
+def basis_u(alpha: Fraction | int, k: int) -> CircleElement:
+    return CircleElement(alpha, {("u", k): 1})
 
 
 def act_e(n: int, x: CircleElement) -> CircleElement:
@@ -125,7 +122,7 @@ def act_e(n: int, x: CircleElement) -> CircleElement:
     for (sym, k), c in x.num.items():
         add_term(out, (sym, n + k), (k * b + an) * c)
         add_term(out, ("u", n + k) if sym == "v" else ("v", n + k + 1), b * c)
-    _check_keys(out, x.window)
+    _check_keys(out)
     return x._like(out, x.den * b)
 
 
@@ -170,9 +167,9 @@ def operator_p(alpha: Fraction | int) -> UEAElement:
     return e1 - e0 * e0 * (e0 + UEAElement.scalar(1 - Fraction(alpha)))
 
 
-def p_value_on_v0(alpha: Fraction | int, window: int = DEFAULT_WINDOW) -> CircleElement:
+def p_value_on_v0(alpha: Fraction | int) -> CircleElement:
     """The computed value of p on v_0 (expected: 2*(alpha-1)*v_1)."""
-    return apply_word(operator_p(alpha), basis_v(alpha, 0, window))
+    return apply_word(operator_p(alpha), basis_v(alpha, 0))
 
 
 # -- checks ---------------------------------------------------------------------
@@ -188,12 +185,13 @@ def witt_bracket_check(n: int, m: int, x: CircleElement,
 
 
 def casimir_scalar_check(alpha: Fraction | int,
-                         ks: Iterable[int] = range(-3, 4),
                          extra: Iterable[CircleElement] = ()) -> gauge_mod.CheckResult:
-    """C x == alpha*(alpha-1) x on basis vectors and optional extra samples."""
+    """C x == alpha*(alpha-1) x on v_k and u_k for |k| <= 3 and optional
+    extra samples."""
     alpha = Fraction(alpha)
     gamma = alpha * (alpha - 1)
     C = sl2_casimir()
+    ks = range(-3, 4)
     samples = [basis_v(alpha, k) for k in ks] + [basis_u(alpha, k) for k in ks]
     samples.extend(extra)
     for x in samples:
@@ -232,12 +230,12 @@ def _label(key: Key) -> str:
     return f"{key[0]}[{key[1]}]"
 
 
-def basis_leading_terms(depth: int, window: int = DEFAULT_WINDOW) -> BasisReport:
+def basis_leading_terms(depth: int) -> BasisReport:
     """Extremal terms and exact independence for the alpha = 0 family."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
     alpha = Fraction(0)
-    vectors: list[CircleElement] = [basis_v(alpha, 0, window)]
+    vectors: list[CircleElement] = [basis_v(alpha, 0)]
     x = vectors[0]
     for _ in range(depth):
         x = act_e(0, x)
@@ -245,7 +243,7 @@ def basis_leading_terms(depth: int, window: int = DEFAULT_WINDOW) -> BasisReport
     leading = tuple(_label(max(v.terms, key=_position)) for v in vectors)
 
     down: list[CircleElement] = []
-    x = basis_v(alpha, 0, window)
+    x = basis_v(alpha, 0)
     for _ in range(depth):
         x = act_e(-1, x)
         down.append(x)
@@ -326,15 +324,10 @@ def to_gauge_element(cg: CircleGauge, x: CircleElement) -> gauge_mod.GaugeElemen
     return cg.space.element(terms)
 
 
-def gauge_crosscheck(n: int, k: int, symbol: str, alpha: Fraction | int,
-                     cg: CircleGauge | None = None) -> bool:
-    """The explicit action equals the gauge action of t^(n+1) d/dt on t^k (x) w."""
-    alpha = Fraction(alpha)
-    if cg is None:
-        cg = circle_gauge(alpha)
-    elif cg.alpha != alpha:
-        raise ValueError(f"gauge realization was built for alpha={cg.alpha}, not {alpha}")
-    start = basis_v(alpha, k) if symbol == "v" else basis_u(alpha, k)
+def gauge_crosscheck(n: int, k: int, symbol: str, cg: CircleGauge) -> bool:
+    """The explicit action equals the gauge action of t^(n+1) d/dt on t^k (x) w
+    in the realization ``cg``."""
+    start = basis_v(cg.alpha, k) if symbol == "v" else basis_u(cg.alpha, k)
     expected = to_gauge_element(cg, act_e(n, start))
     eta = [cg.laurent(n + 1)]
     got = cg.space.act(eta, to_gauge_element(cg, start))

@@ -101,15 +101,9 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 def _scenario_for(args: argparse.Namespace) -> dict:
     if args.command == "variety":
+        raw = scenario_mod.read_scenario(args.file)
         # accept both a full scenario and the bare {variables, generators} form
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ScenarioError(f"cannot load {args.file}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ScenarioError(f"{args.file}: expected a JSON object")
-        if raw.get("kind") != "variety":
+        if isinstance(raw, dict) and raw.get("kind") != "variety":
             raw = {"schema": "1", "kind": "variety",
                    "variety": raw.get("variety", raw),
                    "name": raw.get("name", "variety")}

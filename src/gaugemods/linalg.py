@@ -15,8 +15,7 @@ only the final pivot rows, scaled to lead 1, hold ``Fraction``s.  A forward
 pass reduces each row by the pivots before it and one back-substitution
 clears the pivot rows, so its cost follows the nonzero entries.
 ``solve_sparse`` takes sparse rows with the right-hand side past the
-unknowns; ``rank`` and ``solve`` take dense matrices and leave them
-unchanged.
+unknowns.  Neither builds a dense matrix, and neither changes its rows.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Mapping
 
 if TYPE_CHECKING:
     from .polyring import Polynomial, PolyRing
@@ -246,14 +245,6 @@ def echelon(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[dict[
     return pivots, rest
 
 
-def sparse_row(row: Sequence[Fraction]) -> Row:
-    return {c: x for c, x in enumerate(row) if x}
-
-
-def rank(matrix: list[list[Fraction]]) -> int:
-    return len(echelon(map(sparse_row, matrix), len(matrix[0]) if matrix else 0)[0])
-
-
 def solve_sparse(rows: Iterable[Row], ncols: int) -> dict[int, Fraction] | None:
     """A solution of the sparse system whose rows hold their right-hand
     side in column ``ncols``, as unknown -> nonzero value with free unknowns
@@ -266,21 +257,3 @@ def solve_sparse(rows: Iterable[Row], ncols: int) -> dict[int, Fraction] | None:
         return None
     return {c: row[ncols] for c, row in pivots.items() if ncols in row}
 
-
-def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """``solve_sparse`` on a dense matrix and right-hand side, which stay
-    unchanged; the solution is a dense list."""
-    ncols = len(matrix[0]) if matrix else 0
-    rows = []
-    for row, b in zip(matrix, rhs):
-        sparse = sparse_row(row)
-        if b:
-            sparse[ncols] = b
-        rows.append(sparse)
-    values = solve_sparse(rows, ncols)
-    if values is None:
-        return None
-    solution = [Fraction(0)] * ncols
-    for c, x in values.items():
-        solution[c] = x
-    return solution

@@ -28,7 +28,7 @@ from .groebner import (
     is_unit_ideal,
 )
 from .linalg import det
-from .polyring import MonomialOrder, Polynomial, PolyRing, grevlex, leading_term
+from .polyring import Polynomial, PolyRing, grevlex, leading_term
 
 
 class Variety:
@@ -42,11 +42,10 @@ class Variety:
     caller's responsibility.
     """
 
-    def __init__(self, ring: PolyRing, generators: Sequence[Polynomial],
-                 order: MonomialOrder | None = None, name: str = ""):
+    def __init__(self, ring: PolyRing, generators: Sequence[Polynomial], name: str = ""):
         self.ring = ring
         self.name = name
-        self.order = order or grevlex(ring)
+        self.order = grevlex(ring)
         self.generators = tuple(generators)
         if self.generators:
             self.ideal: Ideal | None = Ideal(ring, self.generators)

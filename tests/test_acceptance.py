@@ -243,7 +243,7 @@ def test_criterion_8_circle():
             cg = circle_gauge(a)
             for n, k in itertools.product(range(-2, 3), repeat=2):
                 for sym in ("v", "u"):
-                    assert gauge_crosscheck(n, k, sym, a, cg)
+                    assert gauge_crosscheck(n, k, sym, cg)
 
         # the p operator value is reported with status "computed", never asserted zero
         report = main(["circle", "verify", "--alpha", "1/2", "--grid", "1", "--no-timing"])

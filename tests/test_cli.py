@@ -373,3 +373,33 @@ class TestBareVarietyFile:
         assert code == 1
         checks = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
         assert checks["variety.smooth"] == "fail"
+
+
+class TestChartsWithoutAFrame:
+    """On a reducible or non-reduced variety Cramer's rule can give a chart
+    no tangent frame; that once escaped as an ArithmeticError traceback."""
+
+    def test_variety_check_fails_frames_with_the_chart(self, capsys, tmp_path):
+        lines = tmp_path / "lines.json"
+        lines.write_text(json.dumps({"variables": ["x", "y", "z"], "generators": ["x*y"]}))
+        code = main(["variety", "check", str(lines), "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+        assert checks["variety.smooth"]["status"] == "fail"
+        assert checks["variety.frames"] == {
+            "name": "variety.frames", "status": "fail",
+            "witness": {"chart": "y", "message": "tangent-frame solve failed in chart y: "
+                                                 "minor not invertible?"}}
+
+    @pytest.mark.parametrize("file", ["sphere_gauge_flat.json", "derham_sphere.json"])
+    def test_a_run_on_a_frameless_chart_exits_2_and_names_it(self, capsys, tmp_path, file):
+        scn = json.loads((SCENARIOS / file).read_text())
+        scn.update(variety={"variables": ["x", "y", "z"], "generators": ["x*y"]}, chart="y")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scn))
+        code = main(["run", str(path), "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("input error: scenario.chart: tangent-frame solve "
+                                "failed in chart y: minor not invertible?\n")

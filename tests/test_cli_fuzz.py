@@ -139,6 +139,34 @@ def test_mutated_scenario_files_keep_the_exit_code_contract(scn):
         assert_contract(argv + [str(path)])
 
 
+# -- varieties: products of linear factors and squares are reducible or non-reduced,
+# so Cramer's rule can leave a chart without a tangent frame
+
+linear_factors = st.tuples(*[st.integers(-2, 2)] * 4).map(
+    lambda c: "({}*x+{}*y+{}*z+{})".format(*c))
+products = st.lists(linear_factors, min_size=1, max_size=3).map("*".join)
+generator_lists = st.lists(st.one_of(
+    products,
+    st.one_of(products, st.sampled_from(["x^2+y^2-1", "x*y-z", "x^2-y"])).map(
+        lambda p: f"({p})^2"),
+    st.sampled_from(["x^2+y^2+z^2-1", "x*y-1", "x-y"])), min_size=1, max_size=2)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(generator_lists)
+def test_fuzzed_varieties_keep_the_exit_code_contract(generators):
+    """``variety check`` on the bare variety, and a de Rham run on its first
+    chart, which builds that chart's frame."""
+    variety = {"variables": ["x", "y", "z"], "generators": generators}
+    derham = dict(BUNDLED["derham_sphere.json"], variety=variety, chart=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        bare, scn = Path(tmp, "variety.json"), Path(tmp, "derham.json")
+        bare.write_text(json.dumps(variety))
+        scn.write_text(json.dumps(derham))
+        assert_contract(["variety", "check", str(bare), "--no-timing"])
+        assert_contract(["run", "--no-timing", "--samples", "1", str(scn)])
+
+
 # -- inputs found by fuzzing: each crashed, hung or passed vacuously before its check
 
 def _with(name, edit):
@@ -195,6 +223,11 @@ FOUND = {
             variety={"variables": ["x", "y"], "generators": ["x^2-2"]},
             B=[{"num": "1", "hpower": HUGE}])), 3),
 }
+for generators in (["x*y"], ["x*z", "(x-1)*y"], ["x^2*y"], ["(x^2+y^2-1)^2"],
+                   ["x^2+y^2+z^2-1", "x*y"]):
+    FOUND[f"a chart of {generators} without a tangent frame raised ArithmeticError"] = (
+        _with("sphere_variety.json", lambda s: s["variety"].update(generators=generators)),
+        1)
 
 
 def test_inputs_found_by_fuzzing(tmp_path):
@@ -210,9 +243,10 @@ def test_inputs_found_by_fuzzing(tmp_path):
     b'{"schema": "1", "kind": "gauge", "seed": ' + b"1" * 5000 + b"}",
 ], ids=["not UTF-8", "an integer of 5,000 digits"])
 def test_a_file_that_json_dumps_cannot_write_exits_2(tmp_path, raw):
-    """Both loaders, ``load_scenario`` and the variety command's own, once
-    raised UnicodeDecodeError or ValueError on these bytes.  ``json.dumps``
-    writes neither, so ``FOUND`` cannot hold them."""
+    """``load_scenario`` and the variety command, which both read through
+    ``read_scenario``, once raised UnicodeDecodeError or ValueError on these
+    bytes.  ``json.dumps`` writes neither, so ``FOUND`` cannot hold them.
+    Every command reports the same text."""
     path = tmp_path / "scenario.json"
     path.write_bytes(raw)
     with pytest.raises(ScenarioError, match="cannot load scenario"):
@@ -220,7 +254,7 @@ def test_a_file_that_json_dumps_cannot_write_exits_2(tmp_path, raw):
     for argv in (["run"], ["variety", "check"], ["gauge", "verify"]):
         code, err = run(argv + [str(path)])
         assert (code, "Traceback" in err) == (2, False), argv
-        assert "cannot load" in err
+        assert err.startswith(f"input error: cannot load scenario {path}: "), argv
 
 
 def test_a_zero_generator_exits_2_and_names_it(tmp_path):

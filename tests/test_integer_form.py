@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugemods import glrep
-from gaugemods.circle import CircleElement, IndexWindowError, act_e
+from gaugemods.circle import WINDOW, CircleElement, IndexWindowError, act_e
 from gaugemods.groebner import GroebnerBasis, Ideal, buchberger, s_polynomial
 from gaugemods.parser import parse_poly
 from gaugemods.polyring import Polynomial, PolyRing, grevlex, leading_term
@@ -213,9 +213,6 @@ def test_a_non_groebner_basis_with_fractional_leading_coefficients():
 
 # -- circle vectors ----------------------------------------------------------------
 
-WINDOW = 5
-
-
 def reference_act(n, alpha, terms):
     """e_n v_k = (k + alpha n) v_{n+k} + u_{n+k}, e_n u_k = (k + alpha n) u_{n+k}
     + v_{n+k+1}, term by term on a dict of nonzero Fractions."""
@@ -226,12 +223,12 @@ def reference_act(n, alpha, terms):
     return out
 
 
-def reference_window_error(terms, window):
+def reference_window_error(terms):
     """The message for the first key, in order, outside the window; else None."""
-    bad = next((k for _, k in terms if abs(k) > window), None)
+    bad = next((k for _, k in terms if abs(k) > WINDOW), None)
     if bad is None:
         return None
-    return f"index {bad} outside the support window [-{window}, {window}]"
+    return f"index {bad} outside the support window [-{WINDOW}, {WINDOW}]"
 
 
 def nonzero(terms):
@@ -257,12 +254,12 @@ circle_dicts = st.dictionaries(
 def test_circle_action_matches_the_reference(alpha, terms, word):
     """Each e_n gives the reference terms, or, once an index leaves the
     window, the error text the reference names for the first such key."""
-    x = CircleElement(alpha, terms, WINDOW)
+    x = CircleElement(alpha, terms)
     ref = nonzero(terms)
     assert_circle_matches(x, ref)
     for n in word:
         ref = reference_act(n, alpha, ref)
-        error = reference_window_error(ref, WINDOW)
+        error = reference_window_error(ref)
         if error is not None:
             with pytest.raises(IndexWindowError) as exc:
                 act_e(n, x)
@@ -275,14 +272,14 @@ def test_circle_action_matches_the_reference(alpha, terms, word):
 @settings(max_examples=150, deadline=None)
 @given(alphas, circle_dicts, circle_dicts, st.one_of(coefficients, st.integers(-6, 6)))
 def test_circle_sums_scalings_and_equality_match_the_references(alpha, a, b, c):
-    x, y = CircleElement(alpha, a, WINDOW), CircleElement(alpha, b, WINDOW)
+    x, y = CircleElement(alpha, a), CircleElement(alpha, b)
     ra, rb = nonzero(a), nonzero(b)
     assert_circle_matches(x + y, reference_add(ra, rb))
     assert_circle_matches(x - y, reference_add(ra, reference_scale(rb, -1)))
     assert_circle_matches(x.scale(c), reference_scale(ra, c))
     assert (x == y) == (ra == rb)
     assert x + y == y + x and (x - x).is_zero() and (x - x).den == 1
-    assert x != CircleElement(alpha + 1, a, WINDOW)
+    assert x != CircleElement(alpha + 1, a)
     half = CircleElement(alpha, {("v", 0): Fraction(1, 2)})
     assert half.num == half.scale(2).num and half != half.scale(2)
 
@@ -290,17 +287,10 @@ def test_circle_sums_scalings_and_equality_match_the_references(alpha, a, b, c):
 @given(alphas, st.integers(WINDOW + 1, 40), st.sampled_from("vu"))
 def test_circle_constructor_checks_symbols_and_window(alpha, k, sym):
     with pytest.raises(IndexWindowError) as exc:
-        CircleElement(alpha, {(sym, 0): 1, (sym, -k): 0, (sym, k): 1}, WINDOW)
-    assert str(exc.value) == reference_window_error({(sym, -k): 0}, WINDOW)
+        CircleElement(alpha, {(sym, 0): 1, (sym, -k): 0, (sym, k): 1})
+    assert str(exc.value) == reference_window_error({(sym, -k): 0})
     with pytest.raises(ValueError, match="unknown symbol 'w'"):
-        CircleElement(alpha, {("w", 0): 1}, WINDOW)
-
-
-def test_a_sum_keeps_the_window_of_its_left_operand():
-    wide = CircleElement(0, {("v", 30): 1}, 40)
-    with pytest.raises(IndexWindowError):
-        CircleElement(0, {}, WINDOW) + wide
-    assert (wide + CircleElement(0, {("u", 1): 1}, WINDOW)).window == 40
+        CircleElement(alpha, {("w", 0): 1})
 
 
 # -- gl_N words --------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Exact linear algebra: linear combinations, cofactor determinants, rank and
-solve over QQ."""
+"""Exact linear algebra: linear combinations, cofactor determinants, and
+sparse elimination (``echelon``, ``solve_sparse``) over QQ against a dense
+reference."""
 
 import copy
 import functools
@@ -14,7 +15,7 @@ from gaugemods.circle import CircleElement
 from gaugemods.derham import FormElement
 from gaugemods.gauge import GaugeField, GaugeModule
 from gaugemods.glrep import UEAElement, exterior_power
-from gaugemods.linalg import add_term, det, echelon, rank, solve, sparse_row
+from gaugemods.linalg import add_term, det, echelon, solve_sparse
 from gaugemods.variety import Variety, sphere_variety
 
 from test_polyring import RING, SPHERE, X, Y, Z
@@ -89,14 +90,37 @@ def reference_solve(matrix, rhs):
     return solution
 
 
+def sparse_row(row):
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def echelon_rank(matrix):
+    """The rank by ``echelon`` of a dense matrix."""
+    return len(echelon(map(sparse_row, matrix), len(matrix[0]) if matrix else 0)[0])
+
+
+def solve_dense(matrix, rhs):
+    """``solve_sparse`` on a dense matrix and right-hand side, as a dense
+    solution in the form ``reference_solve`` returns."""
+    ncols = len(matrix[0]) if matrix else 0
+    values = solve_sparse([sparse_row([*row, b]) for row, b in zip(matrix, rhs)], ncols)
+    if values is None:
+        return None
+    solution = [Fraction(0)] * ncols
+    for c, x in values.items():
+        solution[c] = x
+    return solution
+
+
 def test_solve_returns_none_on_inconsistent_system():
-    matrix = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    assert solve(matrix, [Fraction(1), Fraction(3)]) is None
+    rows = [{0: Fraction(1), 1: Fraction(1), 2: Fraction(1)},
+            {0: Fraction(2), 1: Fraction(2), 2: Fraction(3)}]
+    assert solve_sparse(rows, 2) is None
 
 
 def test_solve_and_rank_of_empty_systems():
-    assert solve([], []) == []
-    assert rank([]) == 0
+    assert solve_sparse([], 0) == {}
+    assert echelon([], 0) == ({}, [])
 
 
 def _planted(seed: int, nrows: int, ncols: int, k: int) -> list[list[Fraction]]:
@@ -131,10 +155,10 @@ def _apply(matrix, x):
 def test_planted_rank_and_consistent_solve(seed, nrows, ncols, data):
     k = data.draw(st.integers(0, min(nrows, ncols)))
     matrix = _planted(seed, nrows, ncols, k)
-    assert rank(matrix) == k
+    assert echelon_rank(matrix) == k
     x0 = [Fraction(random.Random(seed + 1).randint(-4, 4)) for _ in range(ncols)]
     rhs = _apply(matrix, x0)
-    x = solve(matrix, rhs)
+    x = solve_dense(matrix, rhs)
     assert x is not None and _apply(matrix, x) == rhs
 
 
@@ -175,8 +199,8 @@ def planted_systems(draw):
 @given(planted_systems())
 def test_rank_and_solve_equal_dense_reference(system):
     matrix, rhs, k = system
-    assert rank(matrix) == reference_rank(matrix) == k
-    x = solve(matrix, rhs)
+    assert echelon_rank(matrix) == reference_rank(matrix) == k
+    x = solve_dense(matrix, rhs)
     assert x == reference_solve(matrix, rhs)
     if x is not None:
         assert _apply(matrix, x) == rhs
@@ -230,9 +254,9 @@ def test_echelon_equals_dense_reference(system):
 
 
 def test_int_entries_give_fractions():
-    x = solve([[2, 1], [1, 3]], [1, 2])
-    assert x == [Fraction(1, 5), Fraction(3, 5)]
-    assert all(type(c) is Fraction for c in x)
+    x = solve_sparse([{0: 2, 1: 1, 2: 1}, {0: 1, 1: 3, 2: 2}], 2)
+    assert x == {0: Fraction(1, 5), 1: Fraction(3, 5)}
+    assert all(type(c) is Fraction for c in x.values())
     pivots, rest = echelon([{0: 2, 1: 1}, {0: 4, 1: 2}, {0: 1, 1: 3}], 2)
     assert pivots == {0: {0: 1}, 1: {1: 1}} and rest == [{}]
     assert all(type(c) is Fraction for row in pivots.values() for c in row.values())
@@ -245,21 +269,20 @@ def test_int_matrices_equal_their_fraction_copies(seed, nrows, ncols, data):
     matrix = _planted(seed, nrows, ncols, k)
     rhs = [Fraction(data.draw(st.integers(-4, 4))) for _ in range(nrows)]
     ints = [[int(x) for x in row] for row in matrix]
-    assert rank(ints) == rank(matrix) == k
-    x = solve(ints, [int(b) for b in rhs])
-    assert x == solve(matrix, rhs)
+    assert echelon_rank(ints) == echelon_rank(matrix) == k
+    x = solve_dense(ints, [int(b) for b in rhs])
+    assert x == solve_dense(matrix, rhs)
     assert x is None or all(type(c) is Fraction for c in x)
-    pivots, _ = echelon([{c: x for c, x in enumerate(row) if x} for row in ints], ncols)
+    pivots, _ = echelon(map(sparse_row, ints), ncols)
     assert all(type(c) is Fraction for row in pivots.values() for c in row.values())
 
 
 def test_solve_and_rank_leave_arguments_unchanged():
-    matrix = _planted(7, 5, 4, 3)
-    rhs = [Fraction(i) for i in range(5)]
-    before = copy.deepcopy((matrix, rhs))
-    rank(matrix)
-    solve(matrix, rhs)
-    assert (matrix, rhs) == before
+    rows = [sparse_row([*row, Fraction(i)]) for i, row in enumerate(_planted(7, 5, 4, 3))]
+    before = copy.deepcopy(rows)
+    echelon(rows, 4)
+    solve_sparse(rows, 4)
+    assert rows == before
 
 
 # -- Combination: word sums, circle vectors, gauge elements and forms ------------
