@@ -140,14 +140,21 @@ def test_mutated_scenario_files_keep_the_exit_code_contract(scn):
 
 
 # -- varieties: products of linear factors and squares are reducible or non-reduced,
-# so Cramer's rule can leave a chart without a tangent frame
+# so Cramer's rule can leave a chart without a tangent frame.  A square is of at
+# most two factors: two squares of three (degree 6 each) take the smoothness
+# check's Groebner basis and the chart frame a minute or more (ROADMAP item 6).
 
 linear_factors = st.tuples(*[st.integers(-2, 2)] * 4).map(
     lambda c: "({}*x+{}*y+{}*z+{})".format(*c))
-products = st.lists(linear_factors, min_size=1, max_size=3).map("*".join)
+
+
+def products(max_factors):
+    return st.lists(linear_factors, min_size=1, max_size=max_factors).map("*".join)
+
+
 generator_lists = st.lists(st.one_of(
-    products,
-    st.one_of(products, st.sampled_from(["x^2+y^2-1", "x*y-z", "x^2-y"])).map(
+    products(3),
+    st.one_of(products(2), st.sampled_from(["x^2+y^2-1", "x*y-z", "x^2-y"])).map(
         lambda p: f"({p})^2"),
     st.sampled_from(["x^2+y^2+z^2-1", "x*y-1", "x-y"])), min_size=1, max_size=2)
 
