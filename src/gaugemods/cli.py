@@ -88,9 +88,10 @@ def _build_argparser() -> argparse.ArgumentParser:
     circle = sub.add_parser("circle", help="circle-module commands")
     osub = circle.add_subparsers(dest="subcommand", required=True)
     overify = leaf(osub, "verify", "run the circle-module checks")
-    overify.add_argument("--alpha", action="append", default=None,
-                         help="rational a/b; repeatable (default: 0 1 1/2 5/3)")
-    overify.add_argument("--grid", type=int, default=3)
+    overify.add_argument("--alpha", action="append", dest="alphas", help=(
+        f"rational a/b; repeatable (default: {' '.join(scenario_mod.CIRCLE_ALPHAS)})"))
+    overify.add_argument("--grid", type=int,
+                         help=f"Witt grid half-width (default: {scenario_mod.CIRCLE_GRID})")
 
     run = leaf(sub, "run", "execute scenario files")
     run.add_argument("files", nargs="*")
@@ -123,10 +124,11 @@ def _scenario_for(args: argparse.Namespace) -> dict:
             {"schema": "1", "kind": "casimir_table", "N": args.N,
              "name": f"casimir_table_{args.N}"})
     if args.command == "circle":
-        alphas = args.alpha if args.alpha else ["0", "1", "1/2", "5/3"]
+        # only what the user gave: the scenario holds the defaults
+        given = {key: getattr(args, key) for key in ("alphas", "grid")
+                 if getattr(args, key) is not None}
         return scenario_mod.validate_scenario(
-            {"schema": "1", "kind": "circle", "alphas": alphas,
-             "grid": args.grid, "name": "circle"})
+            {"schema": "1", "kind": "circle", "name": "circle", **given})
     raise AssertionError(f"unhandled command {args.command}")
 
 

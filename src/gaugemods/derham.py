@@ -86,13 +86,10 @@ def exterior_action(p: int, i: int, subset: Subset) -> tuple[int, Subset] | None
         return None
     if p == i:
         return 1, subset
-    if p in subset:
-        return None
+    # e_i moved to the front past pos factors, then e_p ^ (the rest)
     pos = subset.index(i)
-    rest = subset[:pos] + subset[pos + 1:]
-    smaller = sum(1 for x in rest if x < p)
-    sign = -1 if (pos - smaller) % 2 else 1
-    return sign, tuple(sorted(rest + (p,)))
+    hit = wedge_prepend(p, subset[:pos] + subset[pos + 1:])
+    return None if hit is None else ((-1) ** pos * hit[0], hit[1])
 
 
 def act_form(B: Sequence[LocalizedElement], eta: Sequence[LocalizedElement],

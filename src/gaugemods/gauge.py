@@ -11,18 +11,18 @@ coefficients (f_1..f_N) acts on g (x) u by
 The action is computed in matrix form, eta.(g (x) u) = eta(g) (x) u +
 g (x) M_eta u, with the connection matrix
 
-    M_eta = sum_i f_i B_i + sum_{p,i} tau_p(f_i) rho(E_pi)
+    M_eta = sum_i f_i B_i + sum_{p,i} tau_p(f_i) rho(E_pi).
 
-(plus sum_i f_i pi_i on the diagonal when a 1-form pi twists the
-action).  M_eta depends on eta alone, so each column is summed from the
-small elements f_i, tau_p(f_i) and the matrix entries before the large
+M_eta depends on eta alone, so each column is summed from the small
+elements f_i, tau_p(f_i) and the matrix entries before the large
 coefficient g is multiplied, once per nonzero entry.
 
 The three gauge-field axioms (linearity over A_(h); commutation with
 the gl_N action; flatness of the connection tau_i + B_i) are verified
-entrywise and reported with witnesses.  A closed 1-form twists the
-action by an additive scalar term without disturbing either the Lie
-property or the compatibility with multiplication by functions.
+entrywise and reported with witnesses.  Twisting by a closed 1-form pi
+is the flat change B_i -> B_i + pi_i Id of the gauge field; it commutes
+with rho, so it disturbs neither the Lie property nor the compatibility
+with multiplication by functions.
 """
 
 from __future__ import annotations
@@ -84,12 +84,14 @@ class GaugeField:
     @classmethod
     def scalar(cls, chart: Chart, values: Sequence[LocalizedElement], dim: int) -> "GaugeField":
         """Scalar gauge fields: B_i = values[i] times the unit matrix."""
-        z = chart.localization.zero()
-        mats = []
-        for v in values:
-            mats.append(tuple(tuple(v if i == j else z for j in range(dim))
-                              for i in range(dim)))
-        return cls(chart, tuple(mats))
+        return cls.zero(chart, dim).shifted(values)
+
+    def shifted(self, values: Sequence[LocalizedElement]) -> "GaugeField":
+        """The gauge fields B_i + values[i] times the unit matrix."""
+        return GaugeField(self.chart, tuple(
+            tuple(tuple(b + v if r == c else b for c, b in enumerate(row))
+                  for r, row in enumerate(m))
+            for m, v in zip(self.matrices, values, strict=True)))
 
     def validate(self, module: GlModule) -> list[CheckResult]:
         """Check the three gauge-field axioms against a module."""
@@ -192,8 +194,7 @@ class OneForm:
 class GaugeModule:
     """A_(h) (x) U with the vector-field action for fixed gauge fields."""
 
-    def __init__(self, chart: Chart, module: GlModule, field: GaugeField,
-                 oneform: OneForm | None = None):
+    def __init__(self, chart: Chart, module: GlModule, field: GaugeField):
         if field.chart is not chart and field.chart != chart:
             raise ValueError("gauge field belongs to a different chart")
         if field.dim != module.dim:
@@ -204,7 +205,6 @@ class GaugeModule:
         self.chart = chart
         self.module = module
         self.field = field
-        self.oneform = oneform
         self.loc = chart.localization
         # rho_columns[p][i]: the columns of rho(E_pi), 0-based
         n = module.N
@@ -276,15 +276,10 @@ class GaugeModule:
                 for ei, mi in zip(eta, mu)]
 
     def twist(self, omega: OneForm) -> "GaugeModule":
-        """Twist the action by a closed 1-form; composable and invertible."""
+        """Twist the action by a closed 1-form: B_i -> B_i + omega_i Id."""
         if omega.chart is not self.chart and omega.chart != self.chart:
             raise ValueError("1-form belongs to a different chart")
-        if self.oneform is None:
-            combined = omega
-        else:
-            combined = OneForm(self.chart, tuple(
-                a + b for a, b in zip(self.oneform.coeffs, omega.coeffs)))
-        return GaugeModule(self.chart, self.module, self.field, combined)
+        return GaugeModule(self.chart, self.module, self.field.shifted(omega.coeffs))
 
 
 _KEPT_CONNECTIONS = 4  # a Lie check acts by [eta, mu], mu and eta
@@ -304,11 +299,6 @@ class _Connection:
         # (the columns of rho(E_pi), tau_p(f_i)) for each nonzero tau_p(f_i)
         self.rho_terms = [(gm.rho_columns[p][i], df) for i, fi in enumerate(eta)
                           for p, df in enumerate(frame.derive(q, fi) for q in params) if df]
-        self.twist = None
-        if gm.oneform is not None:
-            self.twist = gm.loc.zero()
-            for i, fi in self.fields:
-                self.twist = self.twist + fi * gm.oneform.coeffs[i]
         self._columns: dict[int, tuple[tuple[int, LocalizedElement], ...]] = {}
 
     def column(self, u: int) -> tuple[tuple[int, LocalizedElement], ...]:
@@ -322,8 +312,6 @@ class _Connection:
             for rho, df in self.rho_terms:
                 for r, c in rho[u].items():
                     add_term(entries, r, df * c)
-            if self.twist is not None:
-                add_term(entries, u, self.twist)
             column = self._columns[u] = tuple(entries.items())
         return column
 

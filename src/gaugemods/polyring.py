@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter, mul, neg
+from operator import mul, neg
 from typing import Callable, Iterable, Mapping
 
 from .linalg import IntForm, int_form
@@ -323,78 +323,68 @@ def _check_total_degree(ring: PolyRing, deg: int) -> None:
 
 
 class MonomialOrder:
-    """A monomial order: grevlex or lex, with a variable priority.
+    """A monomial order, grevlex or lex, on the ring's own variable order:
+    the first variable is the highest.
 
-    The priority permutation lists variables from highest to lowest.
     Both orders are total, multiplicative, and have 1 as the minimum.
     """
 
-    __slots__ = ("kind", "priority")
+    __slots__ = ("kind",)
 
-    def __init__(self, kind: str, priority: tuple[str, ...]):
-        if kind not in ("grevlex", "lex"):
+    def __init__(self, kind: str):
+        if kind not in _ORDER_KEYS:
             raise ValueError(f"unknown order kind {kind!r}")
-        self.kind, self.priority = kind, priority
+        self.kind = kind
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialOrder):
             return NotImplemented
-        return (self.kind, self.priority) == (other.kind, other.priority)
+        return self.kind == other.kind
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.priority))
+        return hash(self.kind)
 
     def key(self, ring: PolyRing) -> Callable[[Exponents], tuple]:
         """Sort key for exponent vectors; max(key) is the leading term."""
-        return _order_keys(self.kind, self.priority, ring.variables)[0]
+        return _ORDER_KEYS[self.kind][0]
 
     def descending_key(self, ring: PolyRing) -> Callable[[Exponents], tuple]:
         """Sort key with the largest monomial first: min(key) is the leading
         term, and ``heapq`` pops the largest monomial first."""
-        return _order_keys(self.kind, self.priority, ring.variables)[1]
+        return _ORDER_KEYS[self.kind][1]
 
     def packed_descending_key(self, ring: PolyRing) -> Callable[[int], int | tuple]:
         """``descending_key`` on packed exponents."""
-        return _packed_descending_key(self.kind, self.priority, ring.variables)
+        return _packed_descending_key(self.kind, ring.variables)
+
+
+# the ascending and the descending key of each order on exponent tuples;
+# grevlex compares total degree, then the reversed exponents negated
+_ORDER_KEYS = {
+    "lex": (tuple, lambda e: tuple(map(neg, e))),
+    "grevlex": (lambda e: (sum(e), tuple(map(neg, e[::-1]))),
+                lambda e: (-sum(e), e[::-1])),
+}
 
 
 @lru_cache(maxsize=64)
-def _order_keys(kind: str, priority: tuple[str, ...], variables: tuple[str, ...]
-                ) -> tuple[Callable[[Exponents], tuple], Callable[[Exponents], tuple]]:
-    """The ascending and the descending key of one order on one ring."""
-    if set(priority) != set(variables):
-        raise RingMismatchError(
-            f"order priority {priority} does not match ring {variables}"
-        )
-    perm = tuple(variables.index(v) for v in priority)
-    # grevlex compares total degree, then the reversed exponents negated
-    idx = perm if kind == "lex" else tuple(reversed(perm))
-    take = itemgetter(*idx) if len(idx) > 1 else lambda e: tuple(e[i] for i in idx)
-    if kind == "lex":
-        return take, lambda e: tuple(map(neg, take(e)))
-    return (lambda e: (sum(e), tuple(map(neg, take(e)))),
-            lambda e: (-sum(e), take(e)))
-
-
-@lru_cache(maxsize=64)
-def _packed_descending_key(kind: str, priority: tuple[str, ...], variables: tuple[str, ...]
+def _packed_descending_key(kind: str, variables: tuple[str, ...]
                            ) -> Callable[[int], int | tuple]:
-    dkey = _order_keys(kind, priority, variables)[1]
     ring = PolyRing(variables)
-    if kind == "lex" or priority != variables:
-        unpack = ring.unpack
+    if kind == "lex":
+        dkey, unpack = _ORDER_KEYS[kind][1], ring.unpack
         return lambda e: dkey(unpack(e))
-    # grevlex on the ring's own order: the degree field reversed, and below it
-    # the fields compared from the last variable down, smaller first
+    # grevlex: the degree field reversed, and below it the fields compared
+    # from the last variable down, smaller first
     return (ring._mask << ring._dshift).__xor__
 
 
-def grevlex(ring: PolyRing, priority: Iterable[str] | None = None) -> MonomialOrder:
-    return MonomialOrder("grevlex", tuple(priority) if priority else ring.variables)
+def grevlex(ring: PolyRing) -> MonomialOrder:
+    return MonomialOrder("grevlex")
 
 
-def lex(ring: PolyRing, priority: Iterable[str] | None = None) -> MonomialOrder:
-    return MonomialOrder("lex", tuple(priority) if priority else ring.variables)
+def lex(ring: PolyRing) -> MonomialOrder:
+    return MonomialOrder("lex")
 
 
 def leading_term(p: Polynomial, order: MonomialOrder) -> tuple[Exponents, Fraction]:

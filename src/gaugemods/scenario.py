@@ -50,6 +50,9 @@ from .polyring import PolyRing
 from .variety import Chart, Variety
 
 SCHEMA_VERSION = "1"
+# a circle scenario's defaults: the weights alpha and the Witt grid half-width
+CIRCLE_ALPHAS = ("0", "1", "1/2", "5/3")
+CIRCLE_GRID = 3
 
 
 class ScenarioError(ValueError):
@@ -110,11 +113,12 @@ def validate_scenario(scn: Any, path: str = "scenario") -> dict:
         if kind == "derham" and "maxDegree" in scn and not _is_int(scn["maxDegree"]):
             raise ScenarioError(f"{path}.maxDegree: expected an integer")
     elif kind == "circle":
-        alphas = scn.get("alphas", ["0"])
-        if not isinstance(alphas, list) or not all(isinstance(a, str) for a in alphas):
-            raise ScenarioError(f"{path}.alphas: expected a list of rational strings")
-        for a in alphas:
-            _fraction(a, f"{path}.alphas")
+        if "alphas" in scn:
+            alphas = scn["alphas"]
+            if not isinstance(alphas, list) or not all(isinstance(a, str) for a in alphas):
+                raise ScenarioError(f"{path}.alphas: expected a list of rational strings")
+            for a in alphas:
+                _fraction(a, f"{path}.alphas")
         if "grid" in scn and not _is_int(scn["grid"]):
             raise ScenarioError(f"{path}.grid: expected an integer")
     elif kind == "casimir_table":
@@ -288,7 +292,7 @@ def select_chart(v: Variety, selector, path: str = "scenario.chart") -> Chart:
     try:
         chart.frame
     except ArithmeticError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        raise ScenarioError(f"{path}: chart {selector!r}: {exc}") from exc
     return chart
 
 
@@ -549,11 +553,11 @@ _DERHAM_CHECKS = {
 # -- circle checks -----------------------------------------------------------------
 
 def _setup_circle(scn: dict) -> SimpleNamespace:
-    alphas = [Fraction(a) for a in scn.get("alphas", ["0", "1", "1/2", "5/3"])]
+    alphas = [Fraction(a) for a in scn.get("alphas", CIRCLE_ALPHAS)]
     basis = [circle_mod.basis_v(a, k) for a in alphas for k in range(-2, 3)] + \
             [circle_mod.basis_u(a, k) for a in alphas for k in range(-2, 3)]
-    return SimpleNamespace(alphas=alphas, grid=scn.get("grid", 3), seed=scn.get("seed", 0),
-                           basis=basis)
+    return SimpleNamespace(alphas=alphas, grid=scn.get("grid", CIRCLE_GRID),
+                           seed=scn.get("seed", 0), basis=basis)
 
 
 def _witt(c: SimpleNamespace) -> tuple[str, str]:

@@ -262,9 +262,8 @@ def solve_tau(v: Variety, chart: Chart) -> TangentFrame:
 
     frame = TangentFrame(chart, taus)
     if not frame.check():
-        raise ArithmeticError(
-            f"tangent-frame solve failed in chart {chart.name}: minor not invertible?"
-        )
+        # the chart is named by whoever catches this: its minor can be long
+        raise ArithmeticError("tangent-frame solve failed: minor not invertible?")
     return frame
 
 

@@ -239,6 +239,21 @@ class TestSubcommands:
         assert statuses["circle.p_operator"] == "computed"
         assert statuses["circle.witt"] == "pass"
 
+    def test_circle_verify_defaults_are_the_scenario_defaults(self, capsys):
+        """Without --alpha and --grid the CLI passes neither, and the report
+        is the one of a circle scenario without them, and of the defaults
+        given explicitly."""
+        code, out = run_cli(capsys, "circle", "verify", "--no-timing")
+        report = json.loads(out)
+        assert code == 0 and report == run_scenario(validate_scenario(
+            {"schema": "1", "kind": "circle", "name": "circle"}), timing=False)
+        witnesses = {c["name"]: c.get("witness") for c in report["checks"]}
+        assert witnesses["circle.witt"].startswith("n,m in [-3,3] ")
+        assert witnesses["circle.casimir"] == "alphas ['0', '1', '1/2', '5/3']"
+        explicit = [arg for a in ("0", "1", "1/2", "5/3") for arg in ("--alpha", a)]
+        assert run_cli(capsys, "circle", "verify", *explicit, "--grid", "3",
+                       "--no-timing") == (code, out)
+
     def test_derham_verify(self, capsys):
         code, out = run_cli(capsys, "derham", "verify",
                             str(SCENARIOS / "derham_affine2.json"),
@@ -389,7 +404,7 @@ class TestChartsWithoutAFrame:
         assert checks["variety.smooth"]["status"] == "fail"
         assert checks["variety.frames"] == {
             "name": "variety.frames", "status": "fail",
-            "witness": {"chart": "y", "message": "tangent-frame solve failed in chart y: "
+            "witness": {"chart": "y", "message": "tangent-frame solve failed: "
                                                  "minor not invertible?"}}
 
     @pytest.mark.parametrize("file", ["sphere_gauge_flat.json", "derham_sphere.json"])
@@ -401,5 +416,5 @@ class TestChartsWithoutAFrame:
         code = main(["run", str(path), "--no-timing"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err == ("input error: scenario.chart: tangent-frame solve "
-                                "failed in chart y: minor not invertible?\n")
+        assert captured.err == ("input error: scenario.chart: chart 'y': tangent-frame "
+                                "solve failed: minor not invertible?\n")

@@ -267,8 +267,8 @@ def test_basis_index_outside_the_module_is_rejected(affine2, index):
 
 def reference_act(gm, eta, x):
     """The action term by term, as the module docstring's sum reads: g is
-    multiplied by f_i once per entry of B_i, by tau_p(f_i) once per
-    (p, i), and the twist is added in a second pass."""
+    multiplied by f_i once per entry of B_i and by tau_p(f_i) once per
+    (p, i)."""
     frame, params = gm.chart.frame, gm.chart.parameters
     columns, rho_columns = gm.field.columns, gm.rho_columns
     out = {}
@@ -289,28 +289,20 @@ def reference_act(gm, eta, x):
                     gdf = g * df
                     for r, c in column.items():
                         add_term(out, r, gdf * c)
-    result = gm.element(out)
-    if gm.oneform is not None:
-        p_term = gm.loc.zero()
-        for fi, pi in zip(eta, gm.oneform.coeffs):
-            if not fi.is_zero():
-                p_term = p_term + fi * pi
-        if not p_term.is_zero():
-            result = result + x.scale(p_term)
-    return result
+    return gm.element(out)
 
 
 CIRCLE_ALPHAS = (Fraction(0), Fraction(1, 2), Fraction(5, 3))
-PLAIN_ORACLES = ("sphere-z flat", "sphere-z grad", "affine1", "affine2")
-ORACLE_NAMES = sorted(name + twist for name in PLAIN_ORACLES + tuple(
-    f"circle {alpha}" for alpha in CIRCLE_ALPHAS) for twist in ("", " twisted"))
+PLAIN_ORACLES = ("sphere-z flat", "sphere-z grad", "affine1", "affine2") + tuple(
+    f"circle {alpha}" for alpha in CIRCLE_ALPHAS)
+ORACLE_NAMES = sorted(name + twist for name in PLAIN_ORACLES for twist in ("", " twisted"))
 
 
 @cache
-def oracle_modules():
-    """The modules the matrix form is checked on, each also twisted by a
-    closed 1-form: dG for a potential G, or dt/t on the circle.  Built on
-    first use, so that collecting the tests builds no variety."""
+def oracle_twists():
+    """The modules the matrix form is checked on, each with the closed
+    1-form that twists it: dG for a potential G, or dt/t on the circle.
+    Built on first use, so that collecting the tests builds no variety."""
     sphere = sphere_variety()
     sz = sphere.chart("z")
     x, y = sphere.ring.var("x"), sphere.ring.var("y")
@@ -329,18 +321,25 @@ def oracle_modules():
         "affine2": (GaugeModule(a2, exterior_power(2, 1), _scalar_field(a2, [py, px], 2)),
                     px * py + py),
     }
-    modules = {}
+    twists = {}
     for name, (gm, potential) in plain.items():
         loc = gm.loc
-        omega = OneForm(gm.chart, [gm.chart.frame.derive(p, loc.element(potential))
-                                   for p in gm.chart.parameters])
-        modules[name] = gm
-        modules[name + " twisted"] = gm.twist(omega)
+        twists[name] = gm, OneForm(gm.chart, [gm.chart.frame.derive(p, loc.element(potential))
+                                              for p in gm.chart.parameters])
     for alpha in CIRCLE_ALPHAS:
         gm = circle_gauge(alpha).space
         s = gm.chart.variety.ring.var("s")
-        modules[f"circle {alpha}"] = gm
-        modules[f"circle {alpha} twisted"] = gm.twist(OneForm(gm.chart, [gm.loc.element(s)]))
+        twists[f"circle {alpha}"] = gm, OneForm(gm.chart, [gm.loc.element(s)])
+    return twists
+
+
+@cache
+def oracle_modules():
+    """Each oracle module, plain and twisted."""
+    modules = {}
+    for name, (gm, omega) in oracle_twists().items():
+        modules[name] = gm
+        modules[name + " twisted"] = gm.twist(omega)
     return modules
 
 
@@ -381,3 +380,35 @@ def test_act_by_a_changed_list_is_the_action_of_its_new_coefficients(name):
     eta[0] = eta[0] + gm.loc.element(gm.chart.variety.ring.var(gm.chart.parameters[0]))
     new = gm.act(eta, x)
     assert new == reference_act(gm, eta, x) and new != old
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PLAIN_ORACLES), st.integers(0, 2**32))
+def test_a_twist_is_the_gauge_field_shifted(name, seed):
+    """Twisting by omega is the field B_i + omega_i Id, so it adds
+    (sum_i f_i omega_i) x to the action on x."""
+    gm, omega = oracle_twists()[name]
+    twisted = gm.twist(omega)
+    dim = gm.module.dim
+    for b, t, w in zip(gm.field.matrices, twisted.field.matrices, omega.coeffs, strict=True):
+        for r in range(dim):
+            for c in range(dim):
+                assert t[r][c] == (b[r][c] + w if r == c else b[r][c])
+    rng = random.Random(seed)
+    eta = sampling.chart_field(rng, gm.chart)
+    x = gm.element({u: sampling.localized(rng, gm.loc) for u in range(dim)})
+    shift = gm.loc.zero()
+    for fi, wi in zip(eta, omega.coeffs):
+        shift = shift + fi * wi
+    assert twisted.act(eta, x) == gm.act(eta, x) + x.scale(shift)
+
+
+def test_a_scalar_field_keeps_the_given_values(sphere):
+    chart = sphere.chart("z")
+    loc = chart.localization
+    values = [loc.element(sphere.ring.var("x") * sphere.ring.var("y")),
+              chart.frame.derive(chart.parameters[0], loc.element(sphere.ring.var("z")))]
+    field = GaugeField.scalar(chart, values, 3)
+    for m, v in zip(field.matrices, values, strict=True):
+        assert all(m[r][r] is v for r in range(3))
+        assert all(m[r][c].is_zero() for r in range(3) for c in range(3) if r != c)

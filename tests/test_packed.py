@@ -53,8 +53,7 @@ def widest_cap(nvars: int) -> int:
 
 
 def orders(ring):
-    reverse = tuple(reversed(ring.variables))
-    return [grevlex(ring), grevlex(ring, reverse), lex(ring), lex(ring, reverse)]
+    return [grevlex(ring), lex(ring)]
 
 
 @st.composite
@@ -162,7 +161,7 @@ def test_products_match_the_reference_division(ring, data):
     """reduce_product on monomials new to the basis's table, then on the same
     ones known as standard or reducible, and with a one-term operand: a
     constant shifts a normal form onto monomials that are all standard."""
-    order = data.draw(st.sampled_from(orders(ring)[:2]))
+    order = grevlex(ring)
     gb, p = data.draw(basis_and_polynomial(ring, order))
     q = Polynomial(ring, data.draw(term_dicts(ring, max_degree=3, max_terms=3)))
     m = ring.monomial(data.draw(exponent_vectors(ring, 3)), data.draw(st.integers(-3, 3)))
