@@ -11,8 +11,8 @@ modules (``circle``); scenario files and the CLI (``scenario``,
 ``cli``).
 """
 
+from .linalg import BudgetExceededError
 from .polyring import (
-    DegreeOverflowError,
     MonomialOrder,
     Polynomial,
     PolyRing,
@@ -51,7 +51,6 @@ from .variety import (
     to_chart,
 )
 from .glrep import (
-    BudgetExceededError,
     ExceptionalReport,
     GlModule,
     GlModuleError,
@@ -77,7 +76,6 @@ from .gauge import (
     OneForm,
     check_av_compat,
     check_lie_action,
-    validate_gauge,
 )
 from .derham import (
     FormElement,
@@ -91,7 +89,6 @@ from .derham import (
 )
 from .circle import (
     CircleElement,
-    IndexWindowError,
     act_e,
     annihilator_q,
     annihilator_s,

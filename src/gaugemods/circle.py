@@ -24,16 +24,12 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 from . import gauge as gauge_mod
 from .glrep import GlModule, UEAElement
 from .groebner import LocalizedElement
-from .linalg import IntForm, add_term, echelon, int_form
+from .linalg import BudgetExceededError, IntForm, add_term, echelon, int_form
 from .variety import Chart, Variety, circle_variety
 
 Key = tuple[str, int]  # ("v" | "u", index)
 
 WINDOW = 16
-
-
-class IndexWindowError(RuntimeError):
-    """Raised when an index leaves the support window."""
 
 
 class CircleElement(IntForm):
@@ -98,7 +94,7 @@ def _check_keys(keys: Iterable[Key]) -> None:
         if sym not in ("v", "u"):
             raise ValueError(f"unknown symbol {sym!r}")
         if abs(k) > WINDOW:
-            raise IndexWindowError(
+            raise BudgetExceededError(
                 f"index {k} outside the support window [-{WINDOW}, {WINDOW}]"
             )
 

@@ -24,9 +24,7 @@ import sys
 from typing import Sequence
 
 from . import scenario as scenario_mod
-from .circle import IndexWindowError
-from .glrep import BudgetExceededError
-from .polyring import DegreeOverflowError
+from .linalg import BudgetExceededError
 from .scenario import ScenarioError
 
 EXIT_PASS = 0
@@ -179,7 +177,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (BudgetExceededError, DegreeOverflowError, IndexWindowError) as exc:
+    except BudgetExceededError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -20,9 +20,8 @@ from math import comb
 from typing import Mapping, NamedTuple, Sequence
 
 from .gauge import CheckResult
-from .glrep import BudgetExceededError
 from .groebner import LocalizedElement
-from .linalg import Combination, add_term, solve_sparse as _solve_exact
+from .linalg import BudgetExceededError, Combination, add_term, solve_sparse as _solve_exact
 from .polyring import Polynomial, PolyRing
 from .variety import Chart
 

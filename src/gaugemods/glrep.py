@@ -21,13 +21,9 @@ import math
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-from .linalg import Combination, Row, add_term
+from .linalg import BudgetExceededError, Combination, Row, add_term
 
 TERM_BUDGET = 200_000
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when a combinatorial expansion would exceed the term budget."""
 
 
 def check_term_budget(N: int, k: int) -> None:

@@ -35,9 +35,8 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .linalg import int_form
+from .linalg import BudgetExceededError, int_form
 from .polyring import (
-    DegreeOverflowError,
     Exponents,
     MonomialOrder,
     Polynomial,
@@ -187,7 +186,7 @@ def _reduce(p: Polynomial, reducers: Sequence[Reducer], dkey: Key) -> Polynomial
                     old = work.get(te)
                     if old is None:
                         if te & guard:
-                            raise DegreeOverflowError(
+                            raise BudgetExceededError(
                                 f"an exponent of a term met in division exceeds the "
                                 f"exponent fields of ring {p.ring.variables}")
                         work[te] = c * tc

@@ -29,6 +29,10 @@ if TYPE_CHECKING:
     from .polyring import Polynomial, PolyRing
 
 
+class BudgetExceededError(RuntimeError):
+    """Raised when work would pass a resource budget: a degree cap, a window, a term count."""
+
+
 def add_term(out: dict, key: Hashable, value) -> None:
     """out[key] += value; a zero value is skipped and a cancelled entry dropped."""
     if value:

@@ -4,7 +4,7 @@ Grammar (standard precedence, ``^`` strongest, unary minus in between):
 
     expr   := term (('+' | '-') term)*
     term   := unary ('*' unary)*
-    unary  := '-' unary | power
+    unary  := '-'* power
     power  := atom ('^' INT)?
     atom   := NUMBER | NAME | '(' expr ')'
 
@@ -12,7 +12,8 @@ Grammar (standard precedence, ``^`` strongest, unary minus in between):
 ``/`` is only valid between integer literals.  A name starts with a letter
 or ``_`` and goes on with letters, digits and ``_``.  Variable names must
 belong to the target ring, and an exponent above its degree cap raises
-``DegreeOverflowError``.  Errors carry the offending position in the input.
+``BudgetExceededError``.  Parentheses nest at most ``MAX_NESTING`` deep.
+Errors carry the offending position in the input.
 
 Every value met while parsing is a term map from packed exponents (see
 ``polyring``) to int or ``Fraction`` coefficients: a variable is its packed
@@ -27,9 +28,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .linalg import int_form
-from .polyring import (DegreeOverflowError, Polynomial, PolyRing, _check_degree, _power,
-                       _product)
+from .linalg import BudgetExceededError, int_form
+from .polyring import Polynomial, PolyRing, _check_degree, _power, _product
+
+
+MAX_NESTING = 100  # five Python frames a level: well inside the recursion limit
 
 
 class ParseError(ValueError):
@@ -74,6 +77,7 @@ class _Parser:
         self.ring = ring
         self.units = dict(zip(ring.variables, ring._units))
         self.i = 0
+        self.depth = 0  # parentheses open around token i
 
     def error(self, message: str, i: int) -> ParseError:
         return ParseError(message, _position(self.text, i))
@@ -120,13 +124,15 @@ class _Parser:
         return value
 
     def unary(self) -> Terms:
-        if self.tokens[self.i] == "-":
+        signs = 0  # counted in a loop, so that a chain of any length parses
+        while self.tokens[self.i] == "-":
             self.i += 1
-            value = self.unary()
+            signs += 1
+        value = self.power()
+        if signs % 2:
             for e, c in value.items():
                 value[e] = -c
-            return value
-        return self.power()
+        return value
 
     def power(self) -> Terms:
         base = self.atom()
@@ -137,7 +143,7 @@ class _Parser:
             self.i += 2
             if exponent > self.ring.degree_cap:
                 # bounds constant powers too, whose coefficients the cap misses
-                raise DegreeOverflowError(
+                raise BudgetExceededError(
                     f"exponent {exponent} exceeds the ring cap {self.ring.degree_cap}")
             return _power(self.ring, base, exponent)
         return base
@@ -158,8 +164,12 @@ class _Parser:
                 value = Fraction(value, den)
             terms = {0: value} if value else {}
         elif text == "(":
+            if self.depth == MAX_NESTING:
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING}", i)
+            self.depth += 1
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         elif text == "/":
             raise self.error("'/' is only valid between integer literals", i)

@@ -26,7 +26,7 @@ from functools import lru_cache
 from operator import mul, neg
 from typing import Callable, Iterable, Mapping
 
-from .linalg import IntForm, int_form
+from .linalg import BudgetExceededError, IntForm, int_form
 
 Exponents = tuple[int, ...]
 
@@ -37,16 +37,12 @@ class RingMismatchError(ValueError):
     """Raised when an operation mixes polynomials from different rings."""
 
 
-class DegreeOverflowError(RuntimeError):
-    """Raised when a result would exceed the ring's total-degree cap."""
-
-
 class PolyRing:
     """Descriptor of a polynomial ring QQ[x_1, ..., x_n].
 
     Two descriptors are interchangeable iff they list the same variables
     in the same order.  The degree cap bounds the total degree of any
-    constructed polynomial; exceeding it raises ``DegreeOverflowError``
+    constructed polynomial; exceeding it raises ``BudgetExceededError``
     instead of silently producing huge objects.  Twice the cap must fit an
     exponent field, so that the product of two monomials within the cap
     is packed exactly and the cap check sees its true degree.
@@ -183,7 +179,7 @@ class Polynomial(IntForm):
     def coefficient(self, exps: Exponents) -> Fraction:
         try:
             e = self.ring.pack(exps)
-        except (ValueError, DegreeOverflowError):  # no term has such a vector
+        except (ValueError, BudgetExceededError):  # no term has such a vector
             return Fraction(0)
         return Fraction(self.num.get(e, 0), self.den)
 
@@ -319,7 +315,7 @@ def _check_degree(ring: PolyRing, terms: Mapping[int, int]) -> None:
 
 def _check_total_degree(ring: PolyRing, deg: int) -> None:
     if deg > ring.degree_cap:
-        raise DegreeOverflowError(f"total degree {deg} exceeds the ring cap {ring.degree_cap}")
+        raise BudgetExceededError(f"total degree {deg} exceeds the ring cap {ring.degree_cap}")
 
 
 class MonomialOrder:

@@ -33,7 +33,6 @@ from .gauge import (
     OneForm,
     check_av_compat,
     check_lie_action,
-    validate_gauge,
 )
 from .glrep import (
     GlModule,
@@ -78,7 +77,7 @@ def read_scenario(path: str | Path) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ScenarioError(f"cannot load scenario {path}: {exc}") from exc
 
 
@@ -117,6 +116,8 @@ def validate_scenario(scn: Any, path: str = "scenario") -> dict:
             alphas = scn["alphas"]
             if not isinstance(alphas, list) or not all(isinstance(a, str) for a in alphas):
                 raise ScenarioError(f"{path}.alphas: expected a list of rational strings")
+            if not alphas:
+                raise ScenarioError(f"{path}.alphas: expected at least one rational")
             for a in alphas:
                 _fraction(a, f"{path}.alphas")
         if "grid" in scn and not _is_int(scn["grid"]):
@@ -325,11 +326,13 @@ def _failure(i: int, result) -> str | None:
 
 def _variety_charts(v: Variety) -> tuple[str, dict]:
     names = [c.name for c in v.charts]
-    return "pass", {"count": len(names), "minors": names}
+    return "pass" if names else "computed", {"count": len(names), "minors": names}
 
 
-def _variety_frames(v: Variety) -> tuple[str, dict | None]:
+def _variety_frames(v: Variety) -> tuple[str, dict | str | None]:
     """Every chart's frame solves; ``solve_tau`` checks it on every generator."""
+    if not v.charts:
+        return "computed", "no charts: nothing to check"
     for c in v.charts:
         try:
             c.frame
@@ -365,7 +368,7 @@ def _setup_gauge(scn: dict) -> SimpleNamespace:
         raise ScenarioError(f"scenario.module: {exc}") from exc
     seed = scn.get("seed", 0)
     # av_compat and then lie_action draw from one stream
-    return SimpleNamespace(variety=v, gm=gm, axioms=validate_gauge(gm), seed=seed,
+    return SimpleNamespace(variety=v, gm=gm, axioms=field.validate(module), seed=seed,
                            samples=scn.get("samples", 50), rng=random.Random(seed))
 
 

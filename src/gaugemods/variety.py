@@ -173,23 +173,13 @@ class Chart:
     columns.  The tangent frame (the tau derivations) is computed on
     first use by Cramer's rule and cached.  ``minor`` is the raw minor,
     kept for certificates, and ``h`` the scalar-normalized (monic) minor.
+    Only ``Variety`` builds charts, one per (cols, h): they compare by identity.
     """
 
     def __init__(self, variety: Variety, rows: tuple[int, ...], cols: tuple[int, ...],
                  minor: QuotientElement, h: QuotientElement):
         self.variety, self.rows, self.cols, self.minor, self.h = variety, rows, cols, minor, h
         self.parameters = tuple(v for i, v in enumerate(variety.ring.variables) if i not in cols)
-
-    def _key(self) -> tuple:
-        return self.variety, self.rows, self.cols, self.minor, self.h
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Chart):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def name(self) -> str:

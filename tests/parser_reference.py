@@ -6,7 +6,7 @@ Powers square and multiply with ``*`` as ``Polynomial.__pow__`` did.  One
 change from that parser: only ASCII ``0-9`` are digits, as in
 ``gaugemods.parser``.  It took any character for which ``str.isdigit``
 holds, and ``int`` then raised ``ValueError`` on a superscript digit.
-It raises the package's ``ParseError`` and ``DegreeOverflowError``.
+It raises the package's ``ParseError`` and ``BudgetExceededError``.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from gaugemods.linalg import BudgetExceededError
 from gaugemods.parser import ParseError
-from gaugemods.polyring import DegreeOverflowError, Polynomial, PolyRing
+from gaugemods.polyring import Polynomial, PolyRing
 
 
 class _Token(NamedTuple):
@@ -127,7 +128,7 @@ class _Parser:
             exponent = int(self.advance().text)
             if exponent > self.ring.degree_cap:
                 # bounds constant powers too, whose coefficients the cap misses
-                raise DegreeOverflowError(
+                raise BudgetExceededError(
                     f"exponent {exponent} exceeds the ring cap {self.ring.degree_cap}")
             return _power(base, exponent)
         return base

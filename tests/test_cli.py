@@ -2,19 +2,26 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from gaugemods import circle, derham, glrep, groebner
 from gaugemods.cli import main
+from gaugemods.linalg import BudgetExceededError
+from gaugemods.parser import parse_poly
+from gaugemods.polyring import PolyRing, lex
 from gaugemods.scenario import (
     ScenarioError,
     load_scenario,
     run_scenario,
     validate_scenario,
 )
+
+from test_packed import widest_cap
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
@@ -303,6 +310,17 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             validate_scenario({"schema": "1", "kind": "circle", "alphas": ["x/y"]})
 
+    def test_empty_alphas_exit_2(self, capsys, tmp_path):
+        # every circle check once passed on no alpha at all
+        scn = json.loads((SCENARIOS / "circle.json").read_text())
+        scn["alphas"] = []
+        path = tmp_path / "circle.json"
+        path.write_text(json.dumps(scn))
+        code = main(["run", str(path), "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"input error: {path}.alphas: expected at least one rational\n"
+
     def test_gauge_requires_module(self):
         with pytest.raises(ScenarioError):
             validate_scenario({
@@ -418,3 +436,58 @@ class TestChartsWithoutAFrame:
         assert code == 2 and captured.out == ""
         assert captured.err == ("input error: scenario.chart: chart 'y': tangent-frame "
                                 "solve failed: minor not invertible?\n")
+
+
+class TestNoChart:
+    def test_two_disjoint_lines_compute_charts_and_frames_and_fail_smooth(self, capsys,
+                                                                        tmp_path):
+        """With no chart, the chart and frame checks once passed on nothing."""
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps({"variables": ["x", "y", "z"],
+                                    "generators": ["x^2-x", "x*z", "(x-1)*y", "y*z"]}))
+        code = main(["variety", "check", str(path), "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+        assert checks["variety.charts"] == {"name": "variety.charts", "status": "computed",
+                                            "witness": {"count": 0, "minors": []}}
+        assert checks["variety.frames"] == {"name": "variety.frames", "status": "computed",
+                                            "witness": "no charts: nothing to check"}
+        assert checks["variety.smooth"]["status"] == "fail"
+
+
+class TestOneBudget:
+    """Every resource budget raises ``BudgetExceededError``, which exits 3."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["variety", "check", "{degree}"], "exponent 65 exceeds the ring cap 64"),
+        (["circle", "verify", "--grid", "20"],
+         "index -22 outside the support window [-16, 16]"),
+        (["casimir", "table", "5"], "N^k*k! = 375000 exceeds the term budget 200000"),
+        (["derham", "verify", str(SCENARIOS / "derham_affine2.json"), "--max-degree", "3000"],
+         "obstruction for N=2, D=3000 needs 40608103542006 matrix entries; budget 2000000"),
+    ], ids=["degree cap", "index window", "word terms", "obstruction entries"])
+    def test_each_budget_exits_3_with_its_message(self, capsys, tmp_path, argv, message):
+        degree = tmp_path / "degree.json"
+        degree.write_text(json.dumps({"variables": ["x"], "generators": ["x - 2^65"]}))
+        code = main([a.format(degree=degree) for a in argv] + ["--no-timing"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"resource budget exceeded: {message}\n"
+
+    def test_each_raise_site_raises_the_one_error(self):
+        cap = widest_cap(2)
+        ring = PolyRing(("x", "y"), cap)
+        x, y = ring.var("x"), ring.var("y")
+        for make, message in [
+            (lambda: x ** (cap + 1), f"total degree {cap + 1} exceeds the ring cap {cap}"),
+            (lambda: parse_poly(f"2^{cap + 1}", ring), f"exponent {cap + 1} exceeds the ring"),
+            # under lex, x - y^cap takes x^2 to y^(2 cap), past y's exponent field
+            (lambda: groebner.GroebnerBasis(ring, lex(ring), [x - y ** cap]).reduce(x ** 2),
+             "exceeds the exponent fields"),
+            (lambda: circle.basis_v(0, 17), "index 17 outside the support window"),
+            (lambda: glrep.check_term_budget(5, 5), "375000 exceeds the term budget"),
+            (lambda: derham.gaussian_obstruction(2, 3000), "needs 40608103542006 matrix"),
+        ]:
+            with pytest.raises(BudgetExceededError, match=re.escape(message)):
+                make()

@@ -229,6 +229,17 @@ FOUND = {
         _with("affine1_gauge.json", lambda s: s.update(
             variety={"variables": ["x", "y"], "generators": ["x^2-2"]},
             B=[{"num": "1", "hpower": HUGE}])), 3),
+    "199 nested parentheses in a generator raised RecursionError": (
+        _with("sphere_variety.json", lambda s: s["variety"].update(
+            generators=["(" * 199 + "x" + ")" * 199 + "+y-1"])), 2),
+    "991 minus signs before a generator raised RecursionError": (
+        _with("sphere_variety.json", lambda s: s["variety"].update(
+            generators=["-" * 991 + "x+y-1"])), 0),
+    # JSON text: json.dumps cannot write what json.load cannot read back
+    "a scenario file nested 1,000 deep raised RecursionError": (
+        '{"schema": "1", "kind": "variety", "name": ' + "[" * 1000 + "]" * 1000 + "}", 2),
+    "empty alphas passed every circle check on no vector": (
+        _with("circle.json", lambda s: s.update(alphas=[])), 2),
 }
 for generators in (["x*y"], ["x*z", "(x-1)*y"], ["x^2*y"], ["(x^2+y^2-1)^2"],
                    ["x^2+y^2+z^2-1", "x*y"]):
@@ -240,7 +251,7 @@ for generators in (["x*y"], ["x*z", "(x-1)*y"], ["x^2*y"], ["(x^2+y^2-1)^2"],
 def test_inputs_found_by_fuzzing(tmp_path):
     for why, (scn, want) in FOUND.items():
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scn))
+        path.write_text(scn if isinstance(scn, str) else json.dumps(scn))
         code, err = run(["run", "--no-timing", "--samples", "1", str(path)])
         assert (code, "Traceback" in err) == (want, False), why
 

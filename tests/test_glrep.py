@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaugemods.glrep import (
-    BudgetExceededError,
     GlModule,
     GlModuleError,
     NonScalarActionError,
@@ -28,6 +27,7 @@ from gaugemods.glrep import (
     symmetric_square,
     trivial_module,
 )
+from gaugemods.linalg import BudgetExceededError
 from gaugemods.scenario import central_character_table
 
 from dense_matrices import (

@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parser_reference
+from gaugemods.linalg import BudgetExceededError
 from gaugemods.parser import ParseError, parse_poly
-from gaugemods.polyring import DegreeOverflowError, Polynomial, PolyRing, render
+from gaugemods.polyring import Polynomial, PolyRing, render
 
 from test_polyring import RING, SPHERE, polynomials
 
@@ -37,6 +38,20 @@ def test_precedence_and_parens():
     x, y = RING.var("x"), RING.var("y")
     assert parse_poly("x+y*x^2", RING) == x + y * x**2
     assert parse_poly("(x+y)*(x-y)", RING) == x**2 - y**2
+
+
+def test_a_chain_of_minus_signs_of_any_length_parses():
+    # the chain is read in a loop: one recursion per sign once overflowed the stack
+    assert parse_poly("-" * 5000 + "x", RING) == RING.var("x")
+    assert parse_poly("-" * 5001 + "x^2", RING) == -(RING.var("x") ** 2)
+
+
+def test_parentheses_nest_at_most_100_deep():
+    assert parse_poly("(" * 100 + "x" + ")" * 100, RING) == RING.var("x")
+    with pytest.raises(ParseError, match=r"^parentheses nested deeper than 100 \(at position "
+                                         r"100\)$") as err:
+        parse_poly("(" * 101 + "x" + ")" * 101, RING)
+    assert err.value.position == 100
 
 
 def test_unknown_variable_reports_position():
@@ -80,7 +95,7 @@ def test_trailing_garbage():
 def test_exponent_above_degree_cap_overflows():
     assert RING.degree_cap == 64
     assert parse_poly("2^64", RING) == RING.const(2**64)
-    with pytest.raises(DegreeOverflowError):
+    with pytest.raises(BudgetExceededError):
         parse_poly("2^65", RING)
 
 
@@ -100,16 +115,16 @@ def test_only_ascii_digits_are_digits():
 def test_a_variable_overflows_a_ring_of_cap_zero():
     ring = PolyRing(("x", "y"), 0)
     assert parse_poly("7/2 - 3^0", ring) == ring.const(Fraction(5, 2))
-    with pytest.raises(DegreeOverflowError, match="total degree 1 exceeds the ring cap 0"):
+    with pytest.raises(BudgetExceededError, match="total degree 1 exceeds the ring cap 0"):
         parse_poly("1 + y", ring)
 
 
 def test_an_overflowing_power_names_its_first_product_past_the_cap():
     # squaring x^3 gives x^6, x^12, x^24, x^48, and then x^96 raises, before
     # the result, of degree 120, is formed
-    with pytest.raises(DegreeOverflowError, match="total degree 96 exceeds the ring cap 64"):
+    with pytest.raises(BudgetExceededError, match="total degree 96 exceeds the ring cap 64"):
         parse_poly("(x^3)^40", RING)
-    with pytest.raises(DegreeOverflowError, match="total degree 66 exceeds the ring cap 64"):
+    with pytest.raises(BudgetExceededError, match="total degree 66 exceeds the ring cap 64"):
         parse_poly("(x*y + 1)^33", RING)
 
 
@@ -200,7 +215,7 @@ def _outcome(parse, text, ring):
     """The polynomial and its term order, or the error, its text and position."""
     try:
         p = parse(text, ring)
-    except (ParseError, DegreeOverflowError) as err:
+    except (ParseError, BudgetExceededError) as err:
         return type(err), str(err), getattr(err, "position", None)
     return p, list(p.num)
 
